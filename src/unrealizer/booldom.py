@@ -28,7 +28,7 @@ def mask_str(b: BoolVec) -> str:
 
 
 def parse_mask(s: str) -> BoolVec:
-    return tuple(c == "t" for c in s)
+    return tuple([c == "t" for c in s])
 
 
 def bset_str(bs: BoolVecSet) -> str:
@@ -36,11 +36,11 @@ def bset_str(bs: BoolVecSet) -> str:
 
 
 def neg(b: BoolVec) -> BoolVec:
-    return tuple(not x for x in b)
+    return tuple([not x for x in b])
 
 
 def conj(a: BoolVec, b: BoolVec) -> BoolVec:
-    return tuple(x and y for x, y in zip(a, b))
+    return tuple([x and y for x, y in zip(a, b)])
 
 
 def all_true(dim: int) -> BoolVec:
@@ -49,7 +49,7 @@ def all_true(dim: int) -> BoolVec:
 
 def proj_z(v: tuple[int, ...], b: BoolVec) -> tuple[int, ...]:
     """Zero out the coordinates where b is false."""
-    return tuple(x if m else 0 for x, m in zip(v, b))
+    return tuple([x if m else 0 for x, m in zip(v, b)])
 
 
 def abs_not(bs: BoolVecSet) -> BoolVecSet:
@@ -118,7 +118,7 @@ class LessThanCache:
         if len(g1) * len(g2) <= _GAMMA_PAIR_CAP:
             for v1 in g1:
                 for v2 in g2:
-                    found.add(tuple(a < b for a, b in zip(v1, v2)))
+                    found.add(tuple([a < b for a, b in zip(v1, v2)]))
         undecided = [p for p in itertools.product((True, False), repeat=d)
                      if p not in found]
         for pattern in undecided:

@@ -100,7 +100,7 @@ def _draw(rng, variables, taken):
     if not variables:
         return () if () not in taken else None
     for _ in range(10_000):
-        row = tuple(rng.randint(-50, 50) for _ in variables)
+        row = tuple([rng.randint(-50, 50) for _ in variables])
         if row not in taken:
             return row
     return None
@@ -177,7 +177,10 @@ def run_cegis(problem, seed=0, sequential=True, budgets=None, mode="sl",
                            reason="valid-unknown", examples=e_main,
                            iterations=k, trace=trace)
         rec["cex"] = list(cex)
-        assert tuple(cex) not in e_main
+        if tuple(cex) in e_main:
+            # the candidate fits every persistent example by construction
+            raise AssertionError(f"counterexample {list(cex)} is already"
+                                 f" a persistent example")
         e_main.append(tuple(cex))
         e_rand = []
 

@@ -143,7 +143,7 @@ def build_equations(g, e):
         elif kind == LESSTHAN:
             equations[p.lhs].append(
                 BoolMonomial("lessthan",
-                             tuple(_int_ref(a, e) for a in p.args)))
+                             tuple([_int_ref(a, e) for a in p.args])))
         elif kind == MINUS:
             raise GrammarError("Minus must be eliminated before equation "
                                "construction")
@@ -281,9 +281,9 @@ def substitute(sys, solved):
                                        sub_int_ref(m.else_arg)))
             else:
                 out.append(BoolMonomial(m.op,
-                                        tuple(sub_bool_ref(a) if m.op != "lessthan"
-                                              else sub_int_ref(a)
-                                              for a in m.args)))
+                                        tuple([sub_bool_ref(a) if m.op != "lessthan"
+                                               else sub_int_ref(a)
+                                               for a in m.args])))
         equations[nt] = tuple(out)
     return PolynomialSystem(equations, sys.dimension,
                             {nt: s for nt, s in sys.sorts.items()

@@ -338,7 +338,7 @@ class ExampleSet:
             i = self.variables.index(x)
         except ValueError:
             raise GrammarError(f"unbound variable {x!r}") from None
-        return tuple(r[i] for r in self.rows)
+        return tuple([r[i] for r in self.rows])
 
     def point(self, j: int) -> dict[str, int]:
         return dict(zip(self.variables, self.rows[j]))
@@ -353,7 +353,7 @@ class ExampleSet:
         if variables is None:
             variables = sorted({v for p in points for v in p})
         vs = tuple(variables)
-        return ExampleSet(vs, tuple(tuple(int(p[v]) for v in vs) for p in points))
+        return ExampleSet(vs, tuple([tuple([int(p[v]) for v in vs]) for p in points]))
 
 
 def eval_term(t: Term, e: ExampleSet) -> tuple:
@@ -365,7 +365,7 @@ def eval_term(t: Term, e: ExampleSet) -> tuple:
     if k == VAR:
         return e.var_vector(t.symbol.name)
     if k == NEGVAR:
-        return tuple(-v for v in e.var_vector(t.symbol.name))
+        return tuple([-v for v in e.var_vector(t.symbol.name)])
     return _apply(t.symbol, [eval_term(c, e) for c in t.children])
 
 
@@ -475,24 +475,25 @@ def reachable_values(g: Rtg, nt: str, depth: int, e: ExampleSet,
 
 
 def _apply(sym: Symbol, vals: list[tuple]) -> tuple:
+    # tuple([...]), not tuple(<generator>): see semilinear.linset
     k = sym.kind
     if k == PLUS:
-        return tuple(sum(col) for col in zip(*vals))
+        return tuple([sum(col) for col in zip(*vals)])
     if k == MINUS:
-        return tuple(a - b for a, b in zip(*vals))
+        return tuple([a - b for a, b in zip(*vals)])
     if k == DOUBLE:
-        return tuple(2 * a for a in vals[0])
+        return tuple([2 * a for a in vals[0]])
     if k == INC:
-        return tuple(a + 1 for a in vals[0])
+        return tuple([a + 1 for a in vals[0]])
     if k == ITE:
         b, x, y = vals
-        return tuple(xi if bi else yi for bi, xi, yi in zip(b, x, y))
+        return tuple([xi if bi else yi for bi, xi, yi in zip(b, x, y)])
     if k == AND:
-        return tuple(a and b for a, b in zip(*vals))
+        return tuple([a and b for a, b in zip(*vals)])
     if k == NOT:
-        return tuple(not a for a in vals[0])
+        return tuple([not a for a in vals[0]])
     if k == LESSTHAN:
-        return tuple(a < b for a, b in zip(*vals))
+        return tuple([a < b for a, b in zip(*vals)])
     raise GrammarError(f"cannot apply symbol {sym}")
 
 

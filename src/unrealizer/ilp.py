@@ -2,9 +2,11 @@
 
 Systems are conjunctions of linear constraints with integer coefficients
 over integer variables, some restricted to be nonnegative.  Decisions are
-exact: the LP relaxations are solved with a rational phase-1 simplex
-(fractions.Fraction throughout, Bland's rule), and integrality is recovered
-by branch and bound.  Completeness on unbounded polyhedra comes from an
+exact: the LP relaxations are solved with a phase-1 simplex over Python
+ints (fraction-free Bareiss pivoting, Bland's rule), and integrality is
+recovered by branch and bound.  Before the first branch, the equality rows
+are checked for an integer solution (Hermite normal form), which settles
+lattice gaps outright.  Completeness on unbounded polyhedra comes from an
 a-priori magnitude bound: if an integer solution exists at all, one exists
 inside a computable box, so every search tree is finite.
 
@@ -14,8 +16,7 @@ constraints; a failed recheck raises, it is never reported as a result.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 EQ, LE, LT = "=", "<=", "<"
@@ -102,12 +103,21 @@ def _magnitude_bound(sys: IlpSystem) -> int:
     return max(1, n) * (max(1, m) * a) ** (2 * m + 1)
 
 
-def _phase1_simplex(rows: list[list[Fraction]], nvars: int) -> list[Fraction] | None:
+def _phase1_simplex(rows: list[list[int]], nvars: int) -> list[Fraction] | None:
     """Feasible point of {x >= 0 : Ax = b} or None.
 
     `rows` holds [A | b] with b >= 0 (callers normalize signs).  Artificial
     variables are appended and driven out by minimizing their sum; Bland's
     rule guarantees termination.
+
+    The tableau is kept fraction-free (Edmonds; Bareiss 1968): integer rows
+    `tab` and `obj` over one positive common denominator `den`, which is the
+    determinant of the current basis.  Pivoting on p = tab[r][c] leaves row
+    r as it is and maps every other entry x of row i to
+    (p * x - tab[i][c] * tab[r][j]) / den, a division that is always exact;
+    then den = p.  Every pivot is positive, so signs and the ratio test
+    (by cross-multiplication) read as they do on the rational tableau, and
+    the pivot sequence is exactly that of the rational simplex.
     """
     m = len(rows)
     if m == 0:
@@ -115,17 +125,17 @@ def _phase1_simplex(rows: list[list[Fraction]], nvars: int) -> list[Fraction] | 
     total = nvars + m
     tab = []
     for i, row in enumerate(rows):
-        r = row[:nvars] + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-        r.append(row[nvars])
+        r = row[:nvars] + [0] * m + [row[nvars]]
+        r[nvars + i] = 1
         tab.append(r)
     basis = [nvars + i for i in range(m)]
     # objective row: minimize sum of artificials, expressed over nonbasic columns
-    obj = [Fraction(0)] * (total + 1)
-    for r in tab:
-        for j in range(total + 1):
-            obj[j] += r[j]
-    for j in range(nvars, total):
-        obj[j] = Fraction(0)
+    obj = [0] * (total + 1)
+    for row in rows:
+        for j in range(nvars):
+            obj[j] += row[j]
+        obj[total] += row[nvars]
+    den = 1
 
     while True:
         enter = -1
@@ -135,35 +145,49 @@ def _phase1_simplex(rows: list[list[Fraction]], nvars: int) -> list[Fraction] | 
                 break
         if enter < 0:
             break
-        leave, best = -1, None
+        leave, num, dnm = -1, 0, 1
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][total] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+            a = tab[i][enter]
+            if a > 0:
+                # tab[i][total] / a against the best ratio so far, num / dnm
+                lhs, rhs = tab[i][total] * dnm, num * a
+                if leave < 0 or lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, num, dnm = i, tab[i][total], a
         if leave < 0:
             # unbounded phase-1 objective cannot happen (bounded below by 0)
             return None
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
+        prow = tab[leave]
+        piv = prow[enter]
         for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, tab[leave])]
+            if i != leave:
+                tab[i] = _eliminate(tab[i], prow, piv, den, enter)
+        obj = _eliminate(obj, prow, piv, den, enter)
+        den = piv
         basis[leave] = enter
 
     if obj[total] != 0:
         return None
     point = [Fraction(0)] * total
     for i, b in enumerate(basis):
-        point[b] = tab[i][total]
+        point[b] = Fraction(tab[i][total], den)
     # artificials may linger in the basis, but only at value zero
     if any(point[j] != 0 for j in range(nvars, total)):
         return None
     return point[:nvars]
+
+
+def _eliminate(row: list[int], prow: list[int], piv: int, den: int,
+               col: int) -> list[int]:
+    """`row` after the fraction-free pivot on prow[col] = piv; the old
+    common denominator is `den`, the new one `piv`."""
+    f = row[col]
+    if f == 0:
+        if piv == den:
+            return row
+        return [piv * x // den for x in row]
+    if den == 1:
+        return [piv * x - f * y for x, y in zip(row, prow)]
+    return [(piv * x - f * y) // den for x, y in zip(row, prow)]
 
 
 def _lp_feasible(varnames: list[str], lower: dict[str, int | None],
@@ -196,24 +220,24 @@ def _lp_feasible(varnames: list[str], lower: dict[str, int | None],
 
     nslack = sum(1 for _, rel, _ in raw if rel == LE)
     width = len(cols) + nslack
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     slack = len(cols)
     for coeffs, rel, rhs in raw:
-        row = [Fraction(0)] * (width + 1)
+        row = [0] * (width + 1)
         b = rhs
         for v, k in coeffs.items():
             for idx in colof[v]:
                 sign, shift = cols[idx]
-                row[idx] += Fraction(k * sign)
+                row[idx] += k * sign
                 if sign == 1:
                     b -= k * shift
         if rel == LE:
-            row[slack] = Fraction(1)
+            row[slack] = 1
             slack += 1
         if b < 0:
             row = [-x for x in row]
             b = -b
-        row[width] = Fraction(b)
+        row[width] = b
         rows.append(row)
 
     point = _phase1_simplex(rows, width)
@@ -258,6 +282,41 @@ def _presolve(sys: IlpSystem) -> list[tuple[dict[str, int], str, int]] | None:
             coeffs = {v: k // g for v, k in coeffs.items()}
         out.append((coeffs, rel, rhs))
     return out
+
+
+def _equalities_integral(varnames: list[str],
+                         constraints: list[tuple[dict[str, int], str, int]],
+                         ) -> bool:
+    """Whether the equality rows alone have an integer solution.
+
+    Unimodular column operations (extended gcd on pairs of columns) bring
+    the equality matrix A to column echelon form H = AU.  Ax = b has an
+    integer solution exactly when Hy = b does, and forward substitution
+    decides that: each pivot must divide what is left of its right-hand
+    side.  This is the equality step of the Omega test (Pugh 1992); it
+    catches lattice gaps such as x = 2y, x = 2z + 1 that leave rational
+    points everywhere and would send branch and bound toward the
+    magnitude bound.
+    """
+    eqs = [(coeffs, rhs) for coeffs, rel, rhs in constraints if rel == EQ]
+    rows = [[coeffs.get(v, 0) for v in varnames] for coeffs, _ in eqs]
+    n = len(varnames)
+    y: list[int] = []  # values of the pivot columns fixed so far
+    for i, (row, (_, b)) in enumerate(zip(rows, eqs)):
+        k = len(y)
+        for j in range(k + 1, n):
+            while row[j]:
+                q = row[k] // row[j]
+                for r in rows[i:]:
+                    r[k], r[j] = r[j], r[k] - q * r[j]
+        rest = b - sum(row[j] * y[j] for j in range(k))
+        if k < n and row[k]:
+            if rest % row[k]:
+                return False
+            y.append(rest // row[k])
+        elif rest:
+            return False
+    return True
 
 
 def feasible(sys: IlpSystem, node_budget: int = 10 ** 6) -> Feasibility:
@@ -308,6 +367,8 @@ def feasible(sys: IlpSystem, node_budget: int = 10 ** 6) -> Feasibility:
             w = {v: int(point[v]) for v in varnames}
             _check_witness(sys, w)
             return Feasibility("sat", w, nodes)
+        if nodes == 1 and not _equalities_integral(varnames, constraints):
+            return Feasibility("unsat", None, nodes)
         val = point[frac_var]
         floor = val.numerator // val.denominator
         up = dict(upper)
@@ -340,7 +401,7 @@ class Solver:
         """point in <base, gens>: some nonnegative integer combination works."""
         if len(point) != len(ls.base):
             raise ValueError("dimension mismatch")
-        diff = tuple(p - b for p, b in zip(point, ls.base))
+        diff = tuple([p - b for p, b in zip(point, ls.base)])
         if not ls.gens:
             return not any(diff)
         cons = []

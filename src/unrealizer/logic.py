@@ -8,6 +8,7 @@ compiles it to disjunctive normal form and hands each branch to the
 exact integer solver.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from . import ilp
@@ -51,7 +52,7 @@ def lin_add(a, b):
 
 
 def lin_scale(a, k):
-    return lin(tuple((v, k * c) for v, c in a.coeffs), k * a.const)
+    return lin(tuple([(v, k * c) for v, c in a.coeffs]), k * a.const)
 
 
 def lin_sub(a, b):
@@ -177,7 +178,7 @@ def substitute(f, mapping):
         return f
     if f.op == "exists" and any(v in terms for v in f.bound):
         raise ValueError("substitution would capture a bound variable")
-    return LiaFormula(f.op, tuple(substitute(g, mapping) for g in f.args),
+    return LiaFormula(f.op, tuple([substitute(g, mapping) for g in f.args]),
                       bound=f.bound, nonneg=f.nonneg)
 
 
@@ -224,10 +225,10 @@ def nnf(f, negate=False):
     if f.op == "not":
         return nnf(f.args[0], not negate)
     if f.op == "and":
-        sub = tuple(nnf(g, negate) for g in f.args)
+        sub = tuple([nnf(g, negate) for g in f.args])
         return disj(*sub) if negate else conj(*sub)
     if f.op == "or":
-        sub = tuple(nnf(g, negate) for g in f.args)
+        sub = tuple([nnf(g, negate) for g in f.args])
         return conj(*sub) if negate else disj(*sub)
     if f.op == "exists":
         if negate:
@@ -247,56 +248,53 @@ class Branch:
 
 def dnf_branches(f):
     """DNF of a formula; bound variables are freshened to q1, q2, ..."""
-    counter = [0]
+    return _dnf(nnf(f), {}, itertools.count(1))
 
-    def fresh():
-        counter[0] += 1
-        return f"q{counter[0]}"
 
-    def go(g, renaming):
-        if g.op == "true":
-            return [Branch(())]
-        if g.op == "false":
-            return []
-        if g.op == "atom":
-            lhs, rel, rhs = g.atom
-            ren = {v: lin(((renaming[v], 1),)) for v in
-                   (lhs.variables() | rhs.variables()) & renaming.keys()}
-            if ren:
-                g = substitute(g, ren)
-            return [Branch((g.atom,))]
-        if g.op == "or":
-            out = []
-            for h in g.args:
-                out.extend(go(h, renaming))
-            return out
-        if g.op == "and":
-            branches = [Branch(())]
-            for h in g.args:
-                sub = go(h, renaming)
-                branches = [Branch(b.atoms + s.atoms,
-                                   b.nonneg | s.nonneg,
-                                   b.free_bound | s.free_bound)
-                            for b in branches for s in sub]
-            return branches
-        if g.op == "exists":
-            ren = dict(renaming)
-            names = []
-            for v in g.bound:
-                ren[v] = fresh()
-                names.append(ren[v])
-            out = []
-            for b in go(g.args[0], ren):
-                if g.nonneg:
-                    out.append(Branch(b.atoms, b.nonneg | set(names),
-                                      b.free_bound))
-                else:
-                    out.append(Branch(b.atoms, b.nonneg,
-                                      b.free_bound | set(names)))
-            return out
-        raise ValueError(g.op)
-
-    return go(nnf(f), {})
+def _dnf(g, renaming, fresh):
+    # a module-level recursion, not a nested closure: a closure that calls
+    # itself is a reference cycle left to the cyclic collector on every call
+    if g.op == "true":
+        return [Branch(())]
+    if g.op == "false":
+        return []
+    if g.op == "atom":
+        lhs, rel, rhs = g.atom
+        ren = {v: lin(((renaming[v], 1),)) for v in
+               (lhs.variables() | rhs.variables()) & renaming.keys()}
+        if ren:
+            g = substitute(g, ren)
+        return [Branch((g.atom,))]
+    if g.op == "or":
+        out = []
+        for h in g.args:
+            out.extend(_dnf(h, renaming, fresh))
+        return out
+    if g.op == "and":
+        branches = [Branch(())]
+        for h in g.args:
+            sub = _dnf(h, renaming, fresh)
+            branches = [Branch(b.atoms + s.atoms,
+                               b.nonneg | s.nonneg,
+                               b.free_bound | s.free_bound)
+                        for b in branches for s in sub]
+        return branches
+    if g.op == "exists":
+        ren = dict(renaming)
+        names = []
+        for v in g.bound:
+            ren[v] = f"q{next(fresh)}"
+            names.append(ren[v])
+        out = []
+        for b in _dnf(g.args[0], ren, fresh):
+            if g.nonneg:
+                out.append(Branch(b.atoms, b.nonneg | set(names),
+                                  b.free_bound))
+            else:
+                out.append(Branch(b.atoms, b.nonneg,
+                                  b.free_bound | set(names)))
+        return out
+    raise ValueError(g.op)
 
 
 def branch_system(b):
@@ -323,7 +321,7 @@ def decide(f, solver):
 # --- concretization ---------------------------------------------------------
 
 def output_names(dim):
-    return tuple(f"o{j + 1}" for j in range(dim))
+    return tuple([f"o{j + 1}" for j in range(dim)])
 
 
 def concretize(value, names=None):
@@ -335,7 +333,7 @@ def concretize(value, names=None):
     parts = []
     for comp in value.components:
         gens = tuple(comp.gens)
-        lams = tuple(f"l{i + 1}" for i in range(len(gens)))
+        lams = tuple([f"l{i + 1}" for i in range(len(gens))])
         eqs = []
         for j, name in enumerate(names):
             rhs = lin({lams[i]: g[j] for i, g in enumerate(gens)},
@@ -349,8 +347,8 @@ def concretize_bools(bset, names):
     """Formula over 0/1 output coordinates matching a set of Boolean vectors."""
     parts = []
     for vec in sorted(bset, reverse=True):
-        parts.append(conj(*(atom(lin(((n, 1),)), "=", 1 if b else 0)
-                            for n, b in zip(names, vec))))
+        parts.append(conj(*[atom(lin(((n, 1),)), "=", 1 if b else 0)
+                            for n, b in zip(names, vec)]))
     return disj(*parts)
 
 

@@ -41,10 +41,15 @@ def _fmt_vec(v: Vector) -> str:
 
 def linset(base: Iterable[int], gens: Iterable[Iterable[int]] = ()) -> LinearSet:
     """Canonical linear set: gens sorted, deduplicated, zero vectors dropped."""
-    b = tuple(int(c) for c in base)
+    # Per-example vectors are built as tuple([...]) throughout, never as
+    # tuple(<generator>).  CPython builds the latter in a 10-slot tuple and
+    # resizes it, so each one it frees lands in the free list of its own
+    # size without one being taken from it; across checks those lists fill
+    # to 2000 tuples of every size d, and only a full collection empties them.
+    b = tuple([int(c) for c in base])
     gs = set()
     for g in gens:
-        g = tuple(int(c) for c in g)
+        g = tuple([int(c) for c in g])
         if len(g) != len(b):
             raise ValueError(f"generator dimension {len(g)} != base dimension {len(b)}")
         if any(g):
@@ -78,7 +83,7 @@ class SemiLinearSet:
         _check_dims(self, other)
         out = []
         for a, b in product(self.components, other.components):
-            base = tuple(x + y for x, y in zip(a.base, b.base))
+            base = tuple([x + y for x, y in zip(a.base, b.base)])
             out.append(linset(base, a.gens + b.gens))
         return sls(out)
 
@@ -110,8 +115,8 @@ class SemiLinearSet:
             raise ValueError("mask dimension mismatch")
         out = []
         for c in self.components:
-            base = tuple(x if m else 0 for x, m in zip(c.base, mask))
-            gens = [tuple(x if m else 0 for x, m in zip(g, mask)) for g in c.gens]
+            base = tuple([x if m else 0 for x, m in zip(c.base, mask)])
+            gens = [tuple([x if m else 0 for x, m in zip(g, mask)]) for g in c.gens]
             out.append(linset(base, gens))
         return sls(out)
 

@@ -128,24 +128,25 @@ def enumerate_solve(g, ps, e, max_size=20, max_terms=200_000, stop=None):
 
 
 def _apply_sig(sym, vals):
+    # tuple([...]), not tuple(<generator>): see semilinear.linset
     k = sym.kind
     if k == PLUS:
-        return tuple(sum(col) for col in zip(*vals))
+        return tuple([sum(col) for col in zip(*vals)])
     if k == MINUS:
-        return tuple(a - b for a, b in zip(*vals))
+        return tuple([a - b for a, b in zip(*vals)])
     if k == DOUBLE:
-        return tuple(2 * a for a in vals[0])
+        return tuple([2 * a for a in vals[0]])
     if k == INC:
-        return tuple(a + 1 for a in vals[0])
+        return tuple([a + 1 for a in vals[0]])
     if k == ITE:
         b, x, y = vals
-        return tuple(xi if bi else yi for bi, xi, yi in zip(b, x, y))
+        return tuple([xi if bi else yi for bi, xi, yi in zip(b, x, y)])
     if k == AND:
-        return tuple(a and b for a, b in zip(*vals))
+        return tuple([a and b for a, b in zip(*vals)])
     if k == NOT:
-        return tuple(not a for a in vals[0])
+        return tuple([not a for a in vals[0]])
     if k == LESSTHAN:
-        return tuple(a < b for a, b in zip(*vals))
+        return tuple([a < b for a, b in zip(*vals)])
     raise ValueError(f"cannot apply {sym}")
 
 
@@ -265,15 +266,17 @@ def verify(term, spec, variables, solver=None, path_cap=4096,
             status, witness = lg.decide(lg.conj(cond, lg.neg(spec_here)),
                                         solver)
             if status == "sat":
-                row = tuple(int(witness.get(v, 0)) for v in variables)
-                assert _falsifies(term, spec, variables, row)
+                row = tuple([int(witness.get(v, 0)) for v in variables])
+                if not _falsifies(term, spec, variables, row):
+                    raise AssertionError(f"decided counterexample {row} does"
+                                         f" not falsify {term.to_sexpr()}")
                 return "cex", _shrink(term, spec, variables, row)
         return "valid", None
     except (_PathBlowup, BudgetExceeded):
         pass
     rng = rng if rng is not None else random.Random(0)
     for _ in range(samples):
-        row = tuple(rng.randint(-100, 100) for _ in variables)
+        row = tuple([rng.randint(-100, 100) for _ in variables])
         if _falsifies(term, spec, variables, row):
             return "cex", _shrink(term, spec, variables, row)
     return "valid-unknown", None

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from unrealizer import cegis
 from unrealizer import grammar as gr
 from unrealizer.cegis import Budgets, CheckResult, Verdict, check_unrealizable, run_cegis
@@ -113,6 +115,30 @@ def test_cegis_realizable_candidate():
     assert v.witness is not None
     assert v.witness.to_sexpr() in ("(+ x x)",)
     assert v.reason is None
+
+
+def test_cegis_rejects_a_counterexample_it_already_has(monkeypatch):
+    # the candidate fits every persistent example by construction, so a
+    # verifier that answers with one of them is broken; this holds under -O
+    text = """
+(set-logic LIA)
+(synth-fun f ((x Int)) Int
+  ((Start Int (x 0 (+ Start Start)))))
+(constraint (= (f x) (+ x x)))
+(check-synth)
+"""
+    seen = []
+    enumerate_solve = cegis.synth.enumerate_solve
+
+    def spy(g, ps, e, **kw):
+        seen.append(e.rows)
+        return enumerate_solve(g, ps, e, **kw)
+
+    monkeypatch.setattr(cegis.synth, "enumerate_solve", spy)
+    monkeypatch.setattr(cegis.synth, "verify",
+                        lambda *a, **kw: ("cex", seen[-1][0]))
+    with pytest.raises(AssertionError, match="already a persistent example"):
+        run_cegis(parse_problem(text), seed=0)
 
 
 def test_cegis_zero_budget_is_unknown():

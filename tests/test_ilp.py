@@ -1,4 +1,7 @@
+import itertools
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -141,6 +144,117 @@ def test_gcd_presolve_catches_lattice_gaps():
     res = solve({"x": True, "y": True}, [ilp.constraint({"x": 2, "y": -2}, "=", 1)])
     assert res.status == "unsat"
     assert res.nodes == 0
+
+
+def test_lattice_gap_decided_without_branching():
+    # x = 2y and x = 2z + 1: x would be even and odd at once.  Every row's
+    # gcd divides its right-hand side and the free variables leave rational
+    # points everywhere, so only the equality lattice shows it is empty.
+    t0 = time.perf_counter()
+    res = solve({"x": False, "y": False, "z": False},
+                [ilp.constraint({"x": 1, "y": -2}, "=", 0),
+                 ilp.constraint({"x": 1, "z": -2}, "=", 1)])
+    assert res.status == "unsat"
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_lattice_check_keeps_sat_witness():
+    # x = 2y and x = 4z + 2 do meet (x = 2, y = 1, z = 0); the root
+    # relaxation is fractional, so this passes through the lattice check
+    res = solve({"x": False, "y": False, "z": False},
+                [ilp.constraint({"x": 1, "y": -2}, "=", 0),
+                 ilp.constraint({"x": 1, "z": -4}, "=", 2)])
+    assert res.status == "sat"
+    assert res.witness == {"x": 2, "y": 1, "z": 0}
+
+
+def test_equalities_integral_is_sound():
+    # a lattice-infeasible answer must never hide an integer point
+    rng = random.Random(5)
+    names = ["a", "b", "c"]
+    for _ in range(200):
+        eqs = []
+        for _ in range(rng.randint(1, 3)):
+            coeffs = {v: rng.randint(-6, 6) for v in names}
+            eqs.append(({v: k for v, k in coeffs.items() if k}, "=",
+                        rng.randint(-12, 12)))
+        points = itertools.product(range(-4, 5), repeat=len(names))
+        found = any(all(sum(k * dict(zip(names, pt))[v]
+                            for v, k in coeffs.items()) == rhs
+                        for coeffs, _, rhs in eqs)
+                    for pt in points)
+        if found:
+            assert ilp._equalities_integral(names, eqs)
+
+
+def reference_phase1(rows, nvars):
+    """The rational Bland phase-1 simplex over Fraction that the integer
+    one replaced, kept as the oracle for its pivot sequence."""
+    m = len(rows)
+    if m == 0:
+        return [Fraction(0)] * nvars
+    total = nvars + m
+    tab = []
+    for i, row in enumerate(rows):
+        r = [Fraction(x) for x in row[:nvars]]
+        r += [Fraction(1) if j == i else Fraction(0) for j in range(m)]
+        r.append(Fraction(row[nvars]))
+        tab.append(r)
+    basis = [nvars + i for i in range(m)]
+    obj = [Fraction(0)] * (total + 1)
+    for r in tab:
+        for j in range(total + 1):
+            obj[j] += r[j]
+    for j in range(nvars, total):
+        obj[j] = Fraction(0)
+    while True:
+        enter = next((j for j in range(total) if obj[j] > 0), -1)
+        if enter < 0:
+            break
+        leave, best = -1, None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][total] / tab[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave < 0:
+            return None
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        if obj[enter] != 0:
+            f = obj[enter]
+            obj = [x - f * y for x, y in zip(obj, tab[leave])]
+        basis[leave] = enter
+    if obj[total] != 0:
+        return None
+    point = [Fraction(0)] * total
+    for i, b in enumerate(basis):
+        point[b] = tab[i][total]
+    if any(point[j] != 0 for j in range(nvars, total)):
+        return None
+    return point[:nvars]
+
+
+def test_integer_pivoting_walks_the_rational_pivot_sequence():
+    # same vertex, hence the same witness: not just the same feasibility
+    rng = random.Random(2024)
+    feasible_seen = 0
+    for _ in range(400):
+        m, n = rng.randint(1, 5), rng.randint(1, 7)
+        rows = []
+        for _ in range(m):
+            # small entries and many zeros: degenerate vertices, so the
+            # ratio test meets ties and Bland's tie-break decides the path
+            row = [rng.choice((0, rng.randint(-3, 3))) for _ in range(n)]
+            rows.append(row + [rng.choice((0, rng.randint(0, 6)))])
+        want = reference_phase1(rows, n)
+        assert ilp._phase1_simplex([list(r) for r in rows], n) == want
+        feasible_seen += want is not None
+    assert 50 < feasible_seen < 350
 
 
 def test_export_smtlib_stable(tmp_path):

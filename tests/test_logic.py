@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -112,6 +113,33 @@ def test_dnf_branches_freshen_bound_vars():
     assert b.free_bound == {"q2"}
     names = {v for a in b.atoms for t in (a[0], a[2]) for v in t.variables()}
     assert names == {"x", "y", "q1", "q2"}
+
+
+def test_dnf_branches_order_and_no_reference_cycle():
+    x, y = lg.lin({"x": 1}), lg.lin({"y": 1})
+    f = lg.conj(lg.disj(lg.atom(x, "<", 0), lg.atom(x, ">", 5)),
+                lg.exists(("k",), lg.disj(lg.atom(y, "=", lg.lin({"k": 2})),
+                                          lg.atom(y, "=", lg.lin({"k": 3})))),
+                lg.exists(("k",), lg.atom(x, "=", lg.lin({"k": 1})),
+                          nonneg=False))
+    gc.collect()
+    gc.disable()
+    try:
+        branches = lg.dnf_branches(f)
+        # nothing the call built is left for the cyclic collector
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    got = [[(str(lhs), rel, str(rhs)) for lhs, rel, rhs in b.atoms]
+           for b in branches]
+    assert got == [
+        [("x", "<", "0"), ("y", "=", "2*q1"), ("x", "=", "q2")],
+        [("x", "<", "0"), ("y", "=", "3*q1"), ("x", "=", "q2")],
+        [("5", "<", "x"), ("y", "=", "2*q1"), ("x", "=", "q2")],
+        [("5", "<", "x"), ("y", "=", "3*q1"), ("x", "=", "q2")],
+    ]
+    assert all(b.nonneg == {"q1"} and b.free_bound == {"q2"}
+               for b in branches)
 
 
 def test_decide_sat_and_unsat():

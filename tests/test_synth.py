@@ -143,6 +143,16 @@ def test_verify_accepts_valid_candidate():
     assert row == (2,)  # shrunk: smallest |x| with x >= 2
 
 
+def test_verify_rechecks_decided_counterexample(monkeypatch):
+    # a decided counterexample that does not falsify the candidate is an
+    # internal fault, raised explicitly so that it survives -O
+    p = _problem("gconst.sy")
+    t = gr.Term(gr.plus(2), (gr.leaf(gr.num(1)), gr.leaf(gr.num(1))))
+    monkeypatch.setattr(synth, "_falsifies", lambda *a: False)
+    with pytest.raises(AssertionError, match="does not falsify"):
+        verify(t, p.spec, p.variables)
+
+
 def test_verify_valid_on_linear_match():
     text = """
 (set-logic LIA)

@@ -4,14 +4,15 @@ A Boolean nonterminal's abstract value is the set of guard vectors its
 trees can evaluate to.  Not and And act elementwise on members.  LessThan
 compares two semi-linear integer abstractions: a vector b belongs to the
 result iff some concrete o1, o2 drawn from the two concretizations satisfy
-b = (o1 < o2) coordinatewise, decided per sign pattern by exact integer
-feasibility, with a bounded concretization scan as a cheap positive
-witness pass before any feasibility call.
+b = (o1 < o2) coordinatewise.  A bounded concretization scan first finds
+cheap positive witnesses.  The rest is a depth-first search over
+coordinates that fixes one sign per level: a prefix the integer solver
+refutes cuts off all of its extensions at once, and each full-length
+pattern left is decided by exact integer feasibility.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 
 from . import ilp
@@ -61,7 +62,11 @@ def abs_and(b1: BoolVecSet, b2: BoolVecSet) -> BoolVecSet:
 
 
 def _pattern_system(c1: LinearSet, c2: LinearSet, pattern: BoolVec) -> ilp.IlpSystem:
-    """Feasibility of: o1 in c1, o2 in c2, (o1 < o2) == pattern coordinatewise."""
+    """Feasibility of: o1 in c1, o2 in c2, (o1 < o2) == pattern coordinatewise.
+
+    A pattern shorter than the dimension constrains only its own prefix of
+    coordinates.
+    """
     variables: dict[str, bool] = {}
     cons: list[ilp.Constraint] = []
     for tag, c in (("a", c1), ("b", c2)):
@@ -119,20 +124,33 @@ class LessThanCache:
             for v1 in g1:
                 for v2 in g2:
                     found.add(tuple([a < b for a, b in zip(v1, v2)]))
-        undecided = [p for p in itertools.product((True, False), repeat=d)
-                     if p not in found]
-        for pattern in undecided:
-            if self._pattern_feasible(sl1, sl2, pattern):
-                found.add(pattern)
+        witnessed = {p[:k] for p in found for k in range(1, d + 1)}
+        # depth first over coordinates.  A prefix carries the component
+        # pairs not yet refuted for it, and a child drops pairs only up to
+        # the first one it cannot refute.  A full-length pattern is decided
+        # exactly, so its first kept pair is feasible.
+        stack = [((), [(c1, c2) for c1 in sl1.components
+                        for c2 in sl2.components])]
+        while stack:
+            prefix, pairs = stack.pop()
+            if len(prefix) == d:
+                found.add(prefix)
+                continue
+            for bit in (False, True):
+                child = prefix + (bit,)
+                i = 0
+                if child not in witnessed:
+                    while i < len(pairs) and self._refuted(
+                            _pattern_system(*pairs[i], child), len(child) == d):
+                        i += 1
+                if i < len(pairs):
+                    stack.append((child, pairs[i:]))
         return frozenset(found)
 
-    def _pattern_feasible(self, sl1: SemiLinearSet, sl2: SemiLinearSet,
-                          pattern: BoolVec) -> bool:
-        for c1 in sl1.components:
-            for c2 in sl2.components:
-                if self.solver.feasible(_pattern_system(c1, c2, pattern)).status == "sat":
-                    return True
-        return False
+    def _refuted(self, system: ilp.IlpSystem, exact: bool) -> bool:
+        if exact:
+            return self.solver.feasible(system).status != "sat"
+        return self.solver.refutes(system)
 
 
 def abs_less_than(sl1: SemiLinearSet, sl2: SemiLinearSet,

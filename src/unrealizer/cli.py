@@ -84,6 +84,12 @@ def _usage_error(message):
     return 2
 
 
+def _grammar_error(err, args):
+    hint = "; the exact --mode sl cannot check this grammar, try --mode predabs" \
+        if args.mode == "sl" else ""
+    return _usage_error(f"{err}{hint}")
+
+
 def _parse_examples(text, variables):
     if not variables:
         return ExampleSet((), ((),))
@@ -148,6 +154,8 @@ def _cmd_check(args):
                                   sequential=args.sequential,
                                   budgets=budgets, mode=args.mode,
                                   solver=_solver(args))
+    except GrammarError as err:
+        return _grammar_error(err, args)
     except KeyboardInterrupt:
         verdict = cegis.Verdict("Unknown", reason="interrupted")
     return _emit(verdict, args)
@@ -166,6 +174,8 @@ def _cmd_check_examples(args):
     try:
         result = cegis.check_unrealizable(problem.grammar, problem.spec, e,
                                           _solver(args), mode=args.mode)
+    except GrammarError as err:
+        return _grammar_error(err, args)
     except KeyboardInterrupt:
         result = cegis.CheckResult("Unknown", reason="interrupted")
     trace = [{"examples": [list(r) for r in e.rows],

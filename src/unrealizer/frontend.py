@@ -98,11 +98,20 @@ def _tokenize(text):
         i = j
 
 
+# Deepest list nesting accepted.  The passes after parsing recurse once or
+# twice per level, so this keeps them well inside the interpreter's default
+# recursion limit of 1000 frames.
+MAX_DEPTH = 256
+
+
 def parse_sexprs(text):
     stack, top = [], []
     marks = []
     for kind, value, line, col in _tokenize(text):
         if kind == "(":
+            if len(stack) == MAX_DEPTH:
+                raise ParseError(f"nesting deeper than {MAX_DEPTH} levels",
+                                 line, col)
             stack.append(top)
             marks.append((line, col))
             top = []

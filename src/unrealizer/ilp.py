@@ -380,6 +380,10 @@ def feasible(sys: IlpSystem, node_budget: int = 10 ** 6) -> Feasibility:
     return Feasibility("unsat", None, nodes)
 
 
+# Branch-and-bound nodes a pruning check may spend before it gives up.
+PRUNE_NODES = 1000
+
+
 class Solver:
     """Feasibility front door with query export and cumulative counters."""
 
@@ -388,14 +392,27 @@ class Solver:
         self.export_dir = export_dir
         self.queries = 0
 
-    def feasible(self, sys: IlpSystem) -> Feasibility:
+    def feasible(self, sys: IlpSystem, node_budget: int | None = None) -> Feasibility:
+        """Decide sys within node_budget nodes (default: the solver's own);
+        an exhausted budget raises BudgetExceeded."""
+        budget = self.node_budget if node_budget is None else node_budget
         self.queries += 1
         if self.export_dir is not None:
             self._export(sys)
-        res = feasible(sys, self.node_budget)
+        res = feasible(sys, budget)
         if res.status == "unknown":
-            raise BudgetExceeded(f"ILP node budget {self.node_budget} exhausted")
+            raise BudgetExceeded(f"ILP node budget {budget} exhausted")
         return res
+
+    def refutes(self, sys: IlpSystem) -> bool:
+        """True iff sys is shown to have no integer solution within
+        PRUNE_NODES nodes.  False decides nothing: a search that prunes on
+        this answer still decides every leaf with the full budget."""
+        try:
+            budget = min(PRUNE_NODES, self.node_budget)
+            return self.feasible(sys, budget).status == "unsat"
+        except BudgetExceeded:
+            return False
 
     def member(self, point: tuple[int, ...], ls) -> bool:
         """point in <base, gens>: some nonnegative integer combination works."""

@@ -4,8 +4,10 @@ Two layers share this representation: specifications (atoms over the
 declared inputs plus the function-output slot) and concretizations of
 abstract values (atoms over output coordinates ``o1..od`` with
 existentially quantified multiplier variables).  Deciding a formula
-compiles it to disjunctive normal form and hands each branch to the
-exact integer solver.
+walks its disjunctive normal form depth first, splitting one disjunction
+at a time.  A partial conjunction the integer solver refutes before a
+split is dropped with all of its branches, and each branch left is
+decided by the exact integer solver in turn.
 """
 
 import itertools
@@ -248,53 +250,74 @@ class Branch:
 
 def dnf_branches(f):
     """DNF of a formula; bound variables are freshened to q1, q2, ..."""
-    return _dnf(nnf(f), {}, itertools.count(1))
+    return list(_branches(f))
 
 
-def _dnf(g, renaming, fresh):
+def _freshen(g, renaming, fresh):
+    """Rename every bound variable to q1, q2, ... in pre-order."""
     # a module-level recursion, not a nested closure: a closure that calls
     # itself is a reference cycle left to the cyclic collector on every call
-    if g.op == "true":
-        return [Branch(())]
-    if g.op == "false":
-        return []
     if g.op == "atom":
         lhs, rel, rhs = g.atom
         ren = {v: lin(((renaming[v], 1),)) for v in
                (lhs.variables() | rhs.variables()) & renaming.keys()}
-        if ren:
-            g = substitute(g, ren)
-        return [Branch((g.atom,))]
-    if g.op == "or":
-        out = []
-        for h in g.args:
-            out.extend(_dnf(h, renaming, fresh))
-        return out
-    if g.op == "and":
-        branches = [Branch(())]
-        for h in g.args:
-            sub = _dnf(h, renaming, fresh)
-            branches = [Branch(b.atoms + s.atoms,
-                               b.nonneg | s.nonneg,
-                               b.free_bound | s.free_bound)
-                        for b in branches for s in sub]
-        return branches
+        return substitute(g, ren) if ren else g
     if g.op == "exists":
         ren = dict(renaming)
         names = []
         for v in g.bound:
             ren[v] = f"q{next(fresh)}"
             names.append(ren[v])
-        out = []
-        for b in _dnf(g.args[0], ren, fresh):
-            if g.nonneg:
-                out.append(Branch(b.atoms, b.nonneg | set(names),
-                                  b.free_bound))
-            else:
-                out.append(Branch(b.atoms, b.nonneg,
-                                  b.free_bound | set(names)))
-        return out
-    raise ValueError(g.op)
+        return LiaFormula("exists", (_freshen(g.args[0], ren, fresh),),
+                          bound=tuple(names), nonneg=g.nonneg)
+    if g.args:
+        return LiaFormula(g.op, tuple([_freshen(h, renaming, fresh)
+                                       for h in g.args]))
+    return g
+
+
+def _branches(f, solver=None):
+    """Yield the DNF branches of f in order, splitting disjunctions lazily.
+
+    Each pending entry holds a cons list of subformulas still to conjoin
+    and the branch built so far.  With a solver, the partial conjunction
+    is checked at a disjunction whenever it gained atoms since its last
+    check, and one the solver refutes is dropped with every branch
+    extending it.
+    """
+    stack = [((_freshen(nnf(f), {}, itertools.count(1)), None),
+              (), frozenset(), frozenset(), 0)]
+    while stack:
+        todo, atoms, nonneg, free_bound, checked = stack.pop()
+        while todo is not None:
+            g, todo = todo
+            if g.op == "atom":
+                atoms += (g.atom,)
+            elif g.op == "and":
+                for h in reversed(g.args):
+                    todo = (h, todo)
+            elif g.op == "exists":
+                if g.nonneg:
+                    nonneg = nonneg.union(g.bound)
+                else:
+                    free_bound = free_bound.union(g.bound)
+                todo = (g.args[0], todo)
+            elif g.op == "or":
+                if solver is not None and len(atoms) > checked:
+                    if solver.refutes(branch_system(
+                            Branch(atoms, nonneg, free_bound))):
+                        break
+                    checked = len(atoms)
+                for h in reversed(g.args):
+                    stack.append(((h, todo), atoms, nonneg, free_bound,
+                                  checked))
+                break
+            elif g.op == "false":
+                break
+            elif g.op != "true":
+                raise ValueError(g.op)
+        else:
+            yield Branch(atoms, nonneg, free_bound)
 
 
 def branch_system(b):
@@ -310,8 +333,11 @@ def branch_system(b):
 
 
 def decide(f, solver):
-    """Return ('sat', witness) or ('unsat', None); may raise BudgetExceeded."""
-    for b in dnf_branches(f):
+    """Return ('sat', witness) or ('unsat', None); may raise BudgetExceeded.
+
+    The witness is that of the first sat branch in `dnf_branches` order.
+    """
+    for b in _branches(f, solver):
         res = solver.feasible(branch_system(b))
         if res.status == "sat":
             return "sat", dict(res.witness)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unrealizer import booldom, cegis, cli, clia, ilp
+from unrealizer import booldom, cegis, cli, clia, ilp, synth
 from unrealizer import grammar as gr
 from unrealizer import semilinear as sl
 from unrealizer.cegis import Budgets, check_unrealizable, run_cegis
@@ -401,3 +401,28 @@ def test_13_verdict_json_is_deterministic(capsys):
         assert len(outputs) == 1, argv
         payload = json.loads(outputs.pop())
         assert payload["verdict"] in ("Unrealizable", "Realizable", "Unknown")
+
+
+def test_14_disjunctive_max_realizable_and_checks_scale_linearly():
+    p = _problem("max2.sy")
+    v = run_cegis(p, seed=0, sequential=True)
+    assert v.verdict == "Realizable"
+    assert synth.verify(v.witness, p.spec, p.variables) == ("valid", None)
+    grid = _examples(p, list(itertools.product(range(-6, 7), repeat=2)))
+    assert specialize(p.spec, grid).evaluate(gr.eval_term(v.witness, grid))
+
+    # exact checks at d = 10 split their 2^10 guard patterns and DNF
+    # branches lazily, so the ILP query count stays near linear in d
+    rng = random.Random(10)
+    cases = (
+        ("g2.sy", [(x,) for x in rng.sample(range(-20, 21), 10)],
+         "Unrealizable", 400),
+        ("max2.sy", [(rng.randint(-20, 20), rng.randint(-20, 20))
+                     for _ in range(10)], "Realizable", 80),
+    )
+    for name, rows, verdict, bound in cases:
+        p = _problem(name)
+        solver = Solver()
+        res = check_unrealizable(p.grammar, p.spec, _examples(p, rows), solver)
+        assert res.verdict == verdict, name
+        assert solver.queries <= bound, (name, solver.queries)

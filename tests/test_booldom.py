@@ -1,11 +1,15 @@
+import itertools
 import random
 
+import pytest
+
+from unrealizer import booldom
 from unrealizer import semilinear as sl
 from unrealizer.booldom import (
-    LessThanCache, abs_and, abs_less_than, abs_not, all_true, bset_str, conj,
-    mask_str, neg, parse_mask, proj_z,
+    LessThanCache, _pattern_system, abs_and, abs_less_than, abs_not,
+    all_true, bset_str, conj, mask_str, neg, parse_mask, proj_z,
 )
-from unrealizer.ilp import Solver
+from unrealizer.ilp import BudgetExceeded, Solver
 
 
 def bools(*rows):
@@ -121,3 +125,43 @@ def test_cache_reuses_results():
     n = solver.queries
     assert cache.abs_less_than(s1, s2) == first
     assert solver.queries == n
+
+
+def reference_patterns(s1, s2, solver):
+    """The exhaustive definition: every one of the 2^d sign patterns,
+    decided for each pair of components in turn.  Maps a pattern to
+    whether it is realized, or to None where the node budget ran out."""
+    out = {}
+    for p in itertools.product((True, False), repeat=s1.dim):
+        try:
+            out[p] = any(
+                solver.feasible(_pattern_system(c1, c2, p)).status == "sat"
+                for c1 in s1.components for c2 in s2.components)
+        except BudgetExceeded:
+            out[p] = None
+    return out
+
+
+@pytest.mark.parametrize("pair_cap", [booldom._GAMMA_PAIR_CAP, 0])
+def test_prefix_search_matches_all_patterns(monkeypatch, pair_cap):
+    # with a zero cap the witness pass is skipped and every prefix is
+    # checked by the solver
+    monkeypatch.setattr(booldom, "_GAMMA_PAIR_CAP", pair_cap)
+    rng = random.Random(23)
+    decided = 0
+    for _ in range(25):
+        d = rng.randrange(1, 7)
+        s1 = random_sls(rng, d)
+        s2 = random_sls(rng, d)
+        ref = reference_patterns(s1, s2, Solver(node_budget=5000))
+        try:
+            got = abs_less_than(s1, s2, Solver(node_budget=5000))
+        except BudgetExceeded:
+            # the search decides every leaf the exhaustive loop decides
+            assert None in ref.values(), (s1, s2)
+            continue
+        for p, realized in ref.items():
+            if realized is not None:
+                assert (p in got) == realized, (s1, s2, p)
+        decided += None not in ref.values()
+    assert decided >= 20

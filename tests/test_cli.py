@@ -249,3 +249,48 @@ def test_console_script_entry_point():
                     reason="unrealizer console script not installed")
 def test_installed_console_script():
     _assert_script_verdicts(["unrealizer"])
+
+
+def _run_child(*argv):
+    return subprocess.run([sys.executable, "-m", "unrealizer", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=_child_env())
+
+
+def test_grammar_outside_exact_mode_is_usage_error():
+    # Double has no exact semi-linear abstraction
+    for argv in (["check"], ["check-examples", "--examples", "x=3"]):
+        out = _run_child(argv[0], str(PROBLEMS / "parity.sy"), *argv[1:])
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: no exact abstraction for Double")
+        assert "--mode predabs" in out.stderr
+        assert len(out.stderr.splitlines()) == 1
+        assert "Traceback" not in out.stderr
+
+
+def _nested_and(depth):
+    body = "(>= (f x) x)"
+    for _ in range(depth):
+        body = f"(and (>= (f x) x) {body})"
+    return ("(set-logic LIA)\n"
+            "(synth-fun f ((x Int)) Int ((Start Int (x 0 (+ Start Start)))))\n"
+            f"(constraint {body})\n(check-synth)\n")
+
+
+def test_deep_nesting_parses_up_to_the_bound(tmp_path):
+    spec = tmp_path / "deep.sy"
+    spec.write_text(_nested_and(200))
+    out = _run_child("check", str(spec), "--json")
+    assert out.returncode == 10
+    assert json.loads(out.stdout)["verdict"] == "Realizable"
+
+
+def test_too_deep_nesting_is_usage_error(tmp_path):
+    spec = tmp_path / "deeper.sy"
+    spec.write_text(_nested_and(500))
+    out = _run_child("check", str(spec))
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: line 3, col ")
+    assert "nesting deeper than" in out.stderr
+    assert "Traceback" not in out.stderr

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from unrealizer import logic as lg
 from unrealizer import semilinear as sl
 from unrealizer.frontend import PointSpec
-from unrealizer.ilp import Solver
+from unrealizer.ilp import BudgetExceeded, Solver
 
 
 def test_lin_canonicalizes():
@@ -248,3 +249,95 @@ def test_to_smtlib_byte_stable():
     assert lines[1] == "(declare-const a Int)"
     assert lines[2] == "(declare-const b Int)"
     assert lines[-1] == "(check-sat)"
+
+
+def reference_dnf(g, renaming, fresh):
+    """The eager DNF expansion the lazy walker replaced: whole branch lists
+    per subformula, cross products at every conjunction."""
+    if g.op == "true":
+        return [lg.Branch(())]
+    if g.op == "false":
+        return []
+    if g.op == "atom":
+        lhs, _, rhs = g.atom
+        ren = {v: lg.lin(((renaming[v], 1),)) for v in
+               (lhs.variables() | rhs.variables()) & renaming.keys()}
+        return [lg.Branch(((lg.substitute(g, ren) if ren else g).atom,))]
+    if g.op == "or":
+        return [b for h in g.args for b in reference_dnf(h, renaming, fresh)]
+    if g.op == "and":
+        branches = [lg.Branch(())]
+        for h in g.args:
+            sub = reference_dnf(h, renaming, fresh)
+            branches = [lg.Branch(b.atoms + s.atoms, b.nonneg | s.nonneg,
+                                  b.free_bound | s.free_bound)
+                        for b in branches for s in sub]
+        return branches
+    ren = dict(renaming)
+    names = set()
+    for v in g.bound:
+        ren[v] = f"q{next(fresh)}"
+        names.add(ren[v])
+    return [lg.Branch(b.atoms, b.nonneg | names, b.free_bound) if g.nonneg
+            else lg.Branch(b.atoms, b.nonneg, b.free_bound | names)
+            for b in reference_dnf(g.args[0], ren, fresh)]
+
+
+def _random_formula(rng, depth, bound=()):
+    names = ("x", "y") + bound
+    if depth == 0 or rng.random() < 0.25:
+        lhs = lg.lin({rng.choice(names): rng.randint(-3, 3),
+                      rng.choice(names): rng.randint(-2, 2)},
+                     rng.randint(-4, 4))
+        f = lg.atom(lhs, rng.choice(lg.RELOPS), rng.randint(-5, 5))
+        return lg.neg(f) if rng.random() < 0.2 else f
+    kind = rng.choice(("and", "or", "or", "exists"))
+    if kind == "exists":
+        k = rng.choice(("k", "m"))  # reuse names so inner binders shadow
+        body = _random_formula(rng, depth - 1, bound + (k,))
+        return lg.exists((k,), body, nonneg=rng.random() < 0.5)
+    parts = [_random_formula(rng, depth - 1, bound)
+             for _ in range(rng.randint(2, 3))]
+    return lg.conj(*parts) if kind == "and" else lg.disj(*parts)
+
+
+def test_lazy_walk_matches_eager_dnf_and_branch_loop():
+    rng = random.Random(41)
+    statuses = []
+    for i in range(80):
+        f = _random_formula(rng, 4)
+        if i % 2:  # pinned inputs ahead of the splits make many prefixes unsat
+            x, y = lg.lin({"x": 1}), lg.lin({"y": 1})
+            f = lg.conj(lg.atom(x, "=", rng.randint(-3, 3)),
+                        lg.atom(y, "=", rng.randint(-3, 3)), f)
+        branches = lg.dnf_branches(f)
+        assert branches == reference_dnf(lg.nnf(f), {}, itertools.count(1))
+        expected = ("unsat", None)
+        for b in branches:  # the eager loop: one ILP call per branch
+            res = Solver().feasible(lg.branch_system(b))
+            if res.status == "sat":
+                expected = ("sat", dict(res.witness))
+                break
+        assert lg.decide(f, Solver()) == expected, f
+        statuses.append(expected[0])
+    assert statuses.count("sat") >= 10 and statuses.count("unsat") >= 10
+
+
+def test_decide_survives_a_partial_conjunction_hard_for_the_ilp():
+    # The two rows ahead of the split have integer points (a=0, b=2, c=4),
+    # but branch and bound on them alone dives away from every one of them
+    # until its budget runs out.  Each DNF branch adds bounds that make it
+    # easy, so the walk must not insist on deciding the relaxation.
+    b, c = lg.lin({"b": 1}), lg.lin({"c": 1})
+    hard = (lg.atom(lg.lin({"a": 2, "b": -1}), "<=", -2),
+            lg.atom(lg.lin({"a": 2, "b": 2, "c": -3}), "<", -6))
+    split = lg.disj(lg.conj(lg.atom(b, "<=", 5), lg.atom(c, "<=", 5)),
+                    lg.atom(b, ">=", 100))
+    f = lg.exists(("a", "b", "c"), lg.conj(*hard, split))
+    (first, _) = lg.dnf_branches(f)
+    partial = lg.Branch(first.atoms[:2], first.nonneg)
+    with pytest.raises(BudgetExceeded):
+        Solver(node_budget=5000).feasible(lg.branch_system(partial))
+    res = Solver(node_budget=5000).feasible(lg.branch_system(first))
+    assert lg.decide(f, Solver(node_budget=5000)) == \
+        ("sat", dict(res.witness))

@@ -12,13 +12,9 @@ from dataclasses import dataclass
 from . import logic as lg
 from .grammar import (
     AND, BOOL, DOUBLE, INC, INT, ITE, LESSTHAN, MINUS, NOT, NUM, NEGVAR,
-    PLUS, VAR, GrammarError, Term, eval_term,
+    PLUS, VAR, GrammarError, IterationOverrun, Term, eval_term,
 )
 from .rewrite import to_plus_form
-
-
-class IterationOverrun(Exception):
-    """A fixpoint loop exceeded its proven iteration bound."""
 
 
 @dataclass(frozen=True)

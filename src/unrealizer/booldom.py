@@ -13,8 +13,6 @@ pattern left is decided by exact integer feasibility.
 
 from __future__ import annotations
 
-import threading
-
 from . import ilp
 from .semilinear import LinearSet, SemiLinearSet
 
@@ -88,27 +86,18 @@ def _pattern_system(c1: LinearSet, c2: LinearSet, pattern: BoolVec) -> ilp.IlpSy
 
 
 class LessThanCache:
-    """Memoized abs_less_than over one fixed dimension.
-
-    Safe for concurrent use: the memo table sits behind a lock, and entries
-    are only written once fully computed.
-    """
+    """Memoized abs_less_than over one fixed dimension."""
 
     def __init__(self, solver: ilp.Solver):
         self.solver = solver
         self._memo: dict[tuple, BoolVecSet] = {}
-        self._lock = threading.Lock()
 
     def abs_less_than(self, sl1: SemiLinearSet, sl2: SemiLinearSet) -> BoolVecSet:
         key = (sl1, sl2)
-        with self._lock:
-            hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        result = self._compute(sl1, sl2)
-        with self._lock:
-            self._memo[key] = result
-        return result
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = self._compute(sl1, sl2)
+        return hit
 
     def _compute(self, sl1: SemiLinearSet, sl2: SemiLinearSet) -> BoolVecSet:
         if sl1.is_zero or sl2.is_zero:

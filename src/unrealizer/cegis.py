@@ -7,16 +7,16 @@ synthesizer for a candidate correct on the persistent examples and
 verify it on all inputs.  Verified candidates settle realizability;
 counterexamples grow the persistent examples; when the synthesizer
 comes up empty, a temporary random example strengthens the next check.
+The loop is sequential and deterministic for a fixed seed.
 """
 
 import json
-import queue
 import random
-import threading
 import time
 from dataclasses import dataclass, field
 
 from . import approx, clia, logic, synth
+from .booldom import bset_str
 from .frontend import specialize
 from .grammar import ExampleSet, Term
 from .ilp import BudgetExceeded, Solver
@@ -42,11 +42,14 @@ class CheckResult:
 
 def check_unrealizable(g, spec, e, solver=None, mode="sl"):
     """Exact decision on the examples in ``e`` (semi-linear mode), or a
-    sound one-sided answer (predicate-abstraction mode)."""
+    sound one-sided answer (predicate-abstraction mode, on one example
+    only: its predicates abstract a single output)."""
     solver = solver if solver is not None else Solver()
     ps = specialize(spec, e)
     try:
         if mode == "predabs":
+            if e.dimension != 1:
+                return CheckResult("Unknown", reason="predabs-single-example")
             dom = approx.parity_domain()
             values = approx.predabs_solve(g, e, dom)
             gamma = dom.concretize(values[g.start],
@@ -118,8 +121,7 @@ def _round_record(k, e_main, e_rand, check):
     }
 
 
-def run_cegis(problem, seed=0, sequential=True, budgets=None, mode="sl",
-              solver=None):
+def run_cegis(problem, seed=0, budgets=None, mode="sl", solver=None):
     budgets = budgets if budgets is not None else Budgets()
     solver = solver if solver is not None else Solver()
     g, spec, variables = problem.grammar, problem.spec, problem.variables
@@ -144,18 +146,10 @@ def run_cegis(problem, seed=0, sequential=True, budgets=None, mode="sl",
             return Verdict("Unrealizable", examples=list(rows),
                            iterations=k, trace=trace)
 
-        if sequential:
-            outcome = synth.enumerate_solve(
-                g, specialize(spec, ExampleSet(variables, tuple(e_main))),
-                ExampleSet(variables, tuple(e_main)),
-                max_size=budgets.max_size, max_terms=budgets.max_terms)
-        else:
-            outcome = _race_round(g, spec, variables, e_main, e_rand, rng,
-                                  budgets, mode, solver, deadline)
-            if isinstance(outcome, Verdict):
-                outcome.trace = trace + outcome.trace
-                outcome.iterations = k
-                return outcome
+        outcome = synth.enumerate_solve(
+            g, specialize(spec, ExampleSet(variables, tuple(e_main))),
+            ExampleSet(variables, tuple(e_main)),
+            max_size=budgets.max_size, max_terms=budgets.max_terms)
         rec["synth"] = outcome.status
         if outcome.candidate is None:
             row = _draw(rng, variables, set(rows))
@@ -192,68 +186,6 @@ def _value_str(v):
     if isinstance(v, frozenset):
         if all(isinstance(x, str) for x in v):
             return "{" + ",".join(sorted(v)) + "}"
-        from .booldom import bset_str
         return bset_str(v)
     return str(v)
 
-
-def _race_round(g, spec, variables, e_main, e_rand, rng, budgets, mode,
-                solver, deadline):
-    """Parallel round: the synthesizer races a loop of checks on growing
-    random example sets.  First definitive answer wins."""
-    stop = threading.Event()
-    results = queue.Queue()
-
-    def checker():
-        local = list(e_rand)
-        while not stop.is_set():
-            rows = tuple(e_main) + tuple(local)
-            res = check_unrealizable(g, spec, ExampleSet(variables, rows),
-                                     Solver(), mode)
-            if res.verdict == "Unrealizable":
-                results.put(("unrealizable", rows))
-                return
-            if res.verdict == "Unknown":
-                results.put(("check-unknown", None))
-                return
-            row = _draw(rng, variables, set(rows))
-            if row is None:
-                results.put(("check-unknown", None))
-                return
-            local.append(row)
-
-    def solver_task():
-        out = synth.enumerate_solve(
-            g, specialize(spec, ExampleSet(variables, tuple(e_main))),
-            ExampleSet(variables, tuple(e_main)),
-            max_size=budgets.max_size, max_terms=budgets.max_terms,
-            stop=stop)
-        results.put(("synth", out))
-
-    threads = [threading.Thread(target=checker, daemon=True),
-               threading.Thread(target=solver_task, daemon=True)]
-    for t in threads:
-        t.start()
-    verdict = None
-    outcome = synth.SynthOutcome("budget", None, 0)
-    pending = 2
-    while pending:
-        timeout = deadline - time.monotonic()
-        if timeout <= 0:
-            break
-        try:
-            kind, val = results.get(timeout=timeout)
-        except queue.Empty:
-            break
-        pending -= 1
-        if kind == "unrealizable":
-            verdict = Verdict("Unrealizable", examples=list(val), trace=[])
-            break
-        if kind == "synth":
-            outcome = val
-            if val.candidate is not None:
-                break
-    stop.set()
-    for t in threads:
-        t.join(timeout=5.0)
-    return verdict if verdict is not None else outcome

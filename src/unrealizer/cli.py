@@ -12,9 +12,9 @@ import sys
 
 from . import approx, cegis, gfa
 from .frontend import ParseError, parse_problem, specialize
-from .grammar import ExampleSet, GrammarError, expand_nary
+from .grammar import ExampleSet, GrammarError
 from .ilp import Solver
-from .rewrite import to_plus_form
+from .rewrite import normalize
 
 EXIT = {"Unrealizable": 0, "Realizable": 10, "Unknown": 20}
 
@@ -28,6 +28,11 @@ def _parser():
 
     def common(p, examples_required=False):
         p.add_argument("file", help="SyGuS problem file")
+        if examples_required:
+            p.add_argument("--examples", required=True,
+                           help='example inputs, e.g. "x=1;x=2"')
+
+    def checking(p):  # flags that only the two checking commands read
         p.add_argument("--mode", choices=["sl", "predabs"], default="sl",
                        help="abstract domain (default: exact semi-linear)")
         p.add_argument("--export-smt", metavar="DIR",
@@ -36,19 +41,15 @@ def _parser():
                        help="machine-readable verdict on stdout")
         p.add_argument("-v", "--verbose", action="count", default=0,
                        help="trace to stderr; repeat for full records")
-        if examples_required:
-            p.add_argument("--examples", required=True,
-                           help='example inputs, e.g. "x=1;x=2"')
 
     p = sub.add_parser("check", help="full counterexample-guided loop")
     common(p)
+    checking(p)
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (default: $UNREAL_SEED or 0)")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--sequential", action="store_true", default=True,
-                       help="deterministic round-robin (default)")
-    group.add_argument("--parallel", dest="sequential", action="store_false",
-                       help="race synthesis against checking")
+    p.add_argument("--sequential", action="store_true",
+                   help="accepted for compatibility; the loop is always "
+                        "sequential")
     p.add_argument("--budget-seconds", type=float, default=60.0)
     p.add_argument("--max-term-size", type=int, default=20)
     p.add_argument("--max-rounds", type=int, default=20)
@@ -56,6 +57,7 @@ def _parser():
     p = sub.add_parser("check-examples",
                        help="single exact check on given examples")
     common(p, examples_required=True)
+    checking(p)
 
     p = sub.add_parser("export-horn",
                        help="emit the example-restricted problem as "
@@ -86,7 +88,7 @@ def _usage_error(message):
 
 def _grammar_error(err, args):
     hint = "; the exact --mode sl cannot check this grammar, try --mode predabs" \
-        if args.mode == "sl" else ""
+        if getattr(args, "mode", None) == "sl" else ""
     return _usage_error(f"{err}{hint}")
 
 
@@ -150,12 +152,8 @@ def _cmd_check(args):
                             max_size=args.max_term_size,
                             max_rounds=args.max_rounds)
     try:
-        verdict = cegis.run_cegis(problem, seed=seed,
-                                  sequential=args.sequential,
-                                  budgets=budgets, mode=args.mode,
-                                  solver=_solver(args))
-    except GrammarError as err:
-        return _grammar_error(err, args)
+        verdict = cegis.run_cegis(problem, seed=seed, budgets=budgets,
+                                  mode=args.mode, solver=_solver(args))
     except KeyboardInterrupt:
         verdict = cegis.Verdict("Unknown", reason="interrupted")
     return _emit(verdict, args)
@@ -174,8 +172,6 @@ def _cmd_check_examples(args):
     try:
         result = cegis.check_unrealizable(problem.grammar, problem.spec, e,
                                           _solver(args), mode=args.mode)
-    except GrammarError as err:
-        return _grammar_error(err, args)
     except KeyboardInterrupt:
         result = cegis.CheckResult("Unknown", reason="interrupted")
     trace = [{"examples": [list(r) for r in e.rows],
@@ -191,11 +187,8 @@ def _cmd_check_examples(args):
 def _cmd_export_horn(args):
     problem = _load(args.file)
     e = _examples_or_exit(args, problem)
-    ps = specialize(problem.spec, e)
-    try:
-        data = approx.horn_export(problem.grammar, e, ps)
-    except GrammarError as err:
-        return _usage_error(str(err))
+    data = approx.horn_export(problem.grammar, e,
+                              specialize(problem.spec, e))
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(data)
@@ -207,8 +200,7 @@ def _cmd_export_horn(args):
 def _cmd_dump_equations(args):
     problem = _load(args.file)
     e = _examples_or_exit(args, problem)
-    g = to_plus_form(expand_nary(problem.grammar))
-    print(gfa.build_equations(g, e).dump())
+    print(gfa.build_equations(normalize(problem.grammar), e).dump())
     return 0
 
 
@@ -218,7 +210,10 @@ def main(argv=None):
                "check-examples": _cmd_check_examples,
                "export-horn": _cmd_export_horn,
                "dump-equations": _cmd_dump_equations}[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except GrammarError as err:
+        return _grammar_error(err, args)
 
 
 if __name__ == "__main__":

@@ -17,14 +17,10 @@ from .gfa import (
     Factor, IntMonomial, PolynomialSystem,
     build_equations, restrict, stratify, substitute,
 )
-from .grammar import BOOL, check, expand_nary
+from .grammar import BOOL, IterationOverrun
 from .ilp import Solver
 from .newton import npa_solve
-from .rewrite import masked, rem_if, to_plus_form
-
-
-class IterationOverrun(Exception):
-    """A fixpoint loop exceeded its proven iteration bound."""
+from .rewrite import masked, normalize, rem_if
 
 
 def ite_abstract(bset, sl1, sl2):
@@ -37,27 +33,24 @@ def ite_abstract(bset, sl1, sl2):
     return out
 
 
-def _bool_ref(arg, nu_bool):
-    return nu_bool[arg] if isinstance(arg, str) else arg
-
-
-def _int_ref(arg, nu_int):
-    return nu_int[arg] if isinstance(arg, str) else arg
+def _ref(arg, nu):
+    """Value of a nonterminal reference, or the constant argument itself."""
+    return nu[arg] if isinstance(arg, str) else arg
 
 
 def _bool_value(m, nu_bool, nu_int, lt):
     if m.op == "const":
         return m.args[0]
     if m.op == "copy":
-        return _bool_ref(m.args[0], nu_bool)
+        return _ref(m.args[0], nu_bool)
     if m.op == "not":
-        return abs_not(_bool_ref(m.args[0], nu_bool))
+        return abs_not(_ref(m.args[0], nu_bool))
     if m.op == "and":
-        return abs_and(_bool_ref(m.args[0], nu_bool),
-                       _bool_ref(m.args[1], nu_bool))
+        return abs_and(_ref(m.args[0], nu_bool),
+                       _ref(m.args[1], nu_bool))
     if m.op == "lessthan":
-        return lt.abs_less_than(_int_ref(m.args[0], nu_int),
-                                _int_ref(m.args[1], nu_int))
+        return lt.abs_less_than(_ref(m.args[0], nu_int),
+                                _ref(m.args[1], nu_int))
     raise ValueError(m.op)
 
 
@@ -99,7 +92,7 @@ def expand_ite(sys, guards):
             if isinstance(m, IntMonomial):
                 out.append(m)
                 continue
-            bset = _bool_ref(m.guard, guards)
+            bset = _ref(m.guard, guards)
             for b in sorted(bset, reverse=True):
                 coeff = None
                 factors = []
@@ -177,10 +170,7 @@ def solve(g, e, solver=None, trace=None):
     """Full pipeline: normalize the grammar, build equations, and solve
     stratum by stratum in dependence order."""
     solver = solver if solver is not None else Solver()
-    g = expand_nary(g)
-    check(g)
-    g = to_plus_form(g)
-    sys = build_equations(g, e)
+    sys = build_equations(normalize(g), e)
     strata = stratify(sys)
     values = {}
     result = SolveResult(values, strata)

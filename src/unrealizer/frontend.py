@@ -53,7 +53,8 @@ class PointSpec:
         return logic.conj(*self.formulas)
 
     def evaluate(self, outputs):
-        env = {f"o{j + 1}": int(v) for j, v in enumerate(outputs)}
+        env = {o: int(v) for o, v in zip(logic.output_names(len(outputs)),
+                                         outputs)}
         return all(logic.evaluate(f, env) for f in self.formulas)
 
 
@@ -404,9 +405,9 @@ def _parse_synth_fun(form):
 def specialize(spec, e):
     """Substitute each concrete input row, mapping the output slot to o_j."""
     formulas = []
-    for j in range(e.dimension):
+    for j, o in enumerate(logic.output_names(e.dimension)):
         mapping = {v: e.point(j)[v] for v in e.variables}
-        mapping[OUT] = logic.lin(((f"o{j + 1}", 1),))
+        mapping[OUT] = logic.lin(((o, 1),))
         formulas.append(logic.substitute(spec, mapping))
     return PointSpec(tuple(formulas))
 

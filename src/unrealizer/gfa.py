@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import semilinear as sl
 from .booldom import bset_str, mask_str
 from .grammar import (
-    AND, BOOL, INT, ITE, LESSTHAN, MINUS, NEGVAR, NOT, NUM, PLUS, VAR,
+    AND, BOOL, ITE, LESSTHAN, MINUS, NEGVAR, NOT, NUM, PLUS, VAR,
     GrammarError, Term, eval_term,
 )
 
@@ -248,12 +248,7 @@ def stratify(sys):
 
 def substitute(sys, solved):
     """Replace references to already-solved nonterminals with constants."""
-    def sub_int_ref(a):
-        if isinstance(a, str) and a in solved:
-            return solved[a]
-        return a
-
-    def sub_bool_ref(a):
+    def sub_ref(a):
         if isinstance(a, str) and a in solved:
             return solved[a]
         return a
@@ -276,14 +271,11 @@ def substitute(sys, solved):
                         factors.append(f)
                 out.append(IntMonomial(coeff, tuple(factors)))
             elif isinstance(m, IteMonomial):
-                out.append(IteMonomial(sub_bool_ref(m.guard),
-                                       sub_int_ref(m.then_arg),
-                                       sub_int_ref(m.else_arg)))
+                out.append(IteMonomial(sub_ref(m.guard), sub_ref(m.then_arg),
+                                       sub_ref(m.else_arg)))
             else:
                 out.append(BoolMonomial(m.op,
-                                        tuple([sub_bool_ref(a) if m.op != "lessthan"
-                                               else sub_int_ref(a)
-                                               for a in m.args])))
+                                        tuple([sub_ref(a) for a in m.args])))
         equations[nt] = tuple(out)
     return PolynomialSystem(equations, sys.dimension,
                             {nt: s for nt, s in sys.sorts.items()

@@ -53,6 +53,10 @@ class GrammarError(Exception):
     pass
 
 
+class IterationOverrun(Exception):
+    """A fixpoint loop exceeded its proven iteration bound."""
+
+
 @dataclass(frozen=True)
 class Symbol:
     kind: str
@@ -196,11 +200,6 @@ class Rtg:
 
     def __str__(self) -> str:
         return "\n".join(str(p) for p in self.productions)
-
-
-def rtg(nonterminals: Iterable[tuple[str, str]], start: str,
-        productions: Iterable[Production]) -> Rtg:
-    return Rtg(tuple(nonterminals), start, tuple(productions))
 
 
 @dataclass(frozen=True)
@@ -366,7 +365,7 @@ def eval_term(t: Term, e: ExampleSet) -> tuple:
         return e.var_vector(t.symbol.name)
     if k == NEGVAR:
         return tuple([-v for v in e.var_vector(t.symbol.name)])
-    return _apply(t.symbol, [eval_term(c, e) for c in t.children])
+    return apply_symbol(t.symbol, [eval_term(c, e) for c in t.children])
 
 
 # -- bounded enumeration -----------------------------------------------------
@@ -461,7 +460,7 @@ def reachable_values(g: Rtg, nt: str, depth: int, e: ExampleSet,
             for combo in itertools.product(*pools):
                 children = tuple(a if isinstance(a, Term) else t
                                  for a, (_, t) in zip(p.args, combo))
-                vec = _apply(p.symbol, [v for v, _ in combo])
+                vec = apply_symbol(p.symbol, [v for v, _ in combo])
                 if vec not in banks[p.lhs]:
                     t = Term(p.symbol, children)
                     fresh.append((p.lhs, vec, t))
@@ -474,7 +473,8 @@ def reachable_values(g: Rtg, nt: str, depth: int, e: ExampleSet,
     return dict(banks.get(nt, {}))
 
 
-def _apply(sym: Symbol, vals: list[tuple]) -> tuple:
+def apply_symbol(sym: Symbol, vals: list[tuple]) -> tuple:
+    """Componentwise value of ``sym`` on its argument vectors."""
     # tuple([...]), not tuple(<generator>): see semilinear.linset
     k = sym.kind
     if k == PLUS:

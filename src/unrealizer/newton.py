@@ -89,10 +89,10 @@ def solve_linear(ls):
     return values
 
 
-def npa_solve(sys, solver=None, prune=True, trace=None):
+def npa_solve(sys, solver=None, trace=None):
     """Least fixpoint after exactly one Newton iteration per variable."""
     variables = tuple(sys.equations)
-    member = solver.member if (solver is not None and prune) else None
+    member = solver.member if solver is not None else None
 
     def tidy(value):
         return sl.prune(value, member) if member is not None else value

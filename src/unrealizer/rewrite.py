@@ -1,8 +1,10 @@
 """Grammar and equation normalizations.
 
-``to_plus_form`` removes Minus by introducing a negated twin for every
-integer nonterminal and pushing the sign down to the leaves, where it
-lands on literals and variable references.  ``rem_if`` removes pending
+``normalize`` is the one grammar pipeline before equation building:
+binarize n-ary sums, validate, then eliminate Minus.  ``to_plus_form``
+removes Minus by introducing a negated twin for every integer
+nonterminal and pushing the sign down to the leaves, where it lands on
+literals and variable references.  ``rem_if`` removes pending
 coordinate projections from an equation system by indexing nonterminals
 with the projection mask, so a system produced by conditional expansion
 becomes a plain join-of-products system.
@@ -13,7 +15,8 @@ from collections import deque
 from .booldom import all_true, conj, mask_str
 from .grammar import (
     BOOL, INT, ITE, MINUS, NEGVAR, NUM, PLUS, VAR,
-    GrammarError, Production, Rtg, leaf, negvar, num, plus, reachable, var,
+    GrammarError, Production, Rtg, check, expand_nary, leaf, negvar, num, plus,
+    reachable, var,
 )
 from .gfa import Factor, IntMonomial, PolynomialSystem
 
@@ -95,6 +98,11 @@ def to_plus_form(g):
                tuple(p for p in productions if p.lhs in keep))
 
 
+def normalize(g):
+    """Binary, validated grammar in plus form, ready for equation building."""
+    return to_plus_form(check(expand_nary(g)))
+
+
 def masked(name, mask):
     return f"{name}^{mask_str(mask)}"
 
@@ -111,12 +119,12 @@ def rem_if(sys, roots):
     """
     d = sys.dimension
     top = all_true(d)
-    queue = deque((root, top) for root in roots)
-    seen = set(queue)
+    pending = deque((root, top) for root in roots)
+    seen = set(pending)
     equations = {}
     order = []
-    while queue:
-        name, mask = queue.popleft()
+    while pending:
+        name, mask = pending.popleft()
         new_name = masked(name, mask)
         monos = []
         for m in sys.equations[name]:
@@ -130,7 +138,7 @@ def rem_if(sys, roots):
                 factors.append(Factor(masked(f.var, sub)))
                 if (f.var, sub) not in seen:
                     seen.add((f.var, sub))
-                    queue.append((f.var, sub))
+                    pending.append((f.var, sub))
             monos.append(IntMonomial(coeff, tuple(factors)))
         equations[new_name] = tuple(monos)
         order.append(new_name)

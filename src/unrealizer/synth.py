@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import logic as lg
 from .grammar import (
     AND, BOOL, DOUBLE, INC, ITE, LESSTHAN, MINUS, NOT, NUM, NEGVAR, PLUS, VAR,
-    ExampleSet, Term, eval_term,
+    ExampleSet, Term, apply_symbol, eval_term,
 )
 from .ilp import BudgetExceeded, Solver
 
@@ -43,7 +43,7 @@ def _compositions(total, k):
             yield (first,) + rest
 
 
-def enumerate_solve(g, ps, e, max_size=20, max_terms=200_000, stop=None):
+def enumerate_solve(g, ps, e, max_size=20, max_terms=200_000):
     """First start-symbol term (in size order) whose signature satisfies
     the point specification; deterministic for fixed inputs."""
     banks = {n: {} for n, _ in g.nonterminals}            # nt -> sig -> term
@@ -77,8 +77,6 @@ def enumerate_solve(g, ps, e, max_size=20, max_terms=200_000, stop=None):
         return None
 
     for size in range(1, max_size + 1):
-        if stop is not None and stop.is_set():
-            return SynthOutcome("budget", None, built)
         fresh = []
         for p in concrete:
             own = 1 + sum(isinstance(a, Term) for a in p.args)
@@ -105,7 +103,7 @@ def enumerate_solve(g, ps, e, max_size=20, max_terms=200_000, stop=None):
                             vals.append(pre)
                             children.append(a)
                     sig = (leaf_sigs[id(p)] if not p.args
-                           else _apply_sig(p.symbol, vals))
+                           else apply_symbol(p.symbol, vals))
                     found = admit(p.lhs, sig, Term(p.symbol, tuple(children)),
                                   size, fresh)
                     if found:
@@ -125,29 +123,6 @@ def enumerate_solve(g, ps, e, max_size=20, max_terms=200_000, stop=None):
         if size > max_own + max_nt_args * last_new:
             return SynthOutcome("exhausted", None, built)
     return SynthOutcome("budget", None, built)
-
-
-def _apply_sig(sym, vals):
-    # tuple([...]), not tuple(<generator>): see semilinear.linset
-    k = sym.kind
-    if k == PLUS:
-        return tuple([sum(col) for col in zip(*vals)])
-    if k == MINUS:
-        return tuple([a - b for a, b in zip(*vals)])
-    if k == DOUBLE:
-        return tuple([2 * a for a in vals[0]])
-    if k == INC:
-        return tuple([a + 1 for a in vals[0]])
-    if k == ITE:
-        b, x, y = vals
-        return tuple([xi if bi else yi for bi, xi, yi in zip(b, x, y)])
-    if k == AND:
-        return tuple([a and b for a, b in zip(*vals)])
-    if k == NOT:
-        return tuple([not a for a in vals[0]])
-    if k == LESSTHAN:
-        return tuple([a < b for a, b in zip(*vals)])
-    raise ValueError(f"cannot apply {sym}")
 
 
 # --- verification ------------------------------------------------------------

@@ -67,7 +67,7 @@ def test_01_triple_sum_two_example_valuation_golden():
 def test_02_triple_sum_end_to_end_unrealizable():
     p = _problem("g1.sy")
     started = time.perf_counter()
-    v = run_cegis(p, seed=0, sequential=True)
+    v = run_cegis(p, seed=0)
     assert v.verdict == "Unrealizable"
     # the one-example refutation: multiples of 3 never reach 2*1+2
     res = check_unrealizable(p.grammar, p.spec, _examples(p, [(1,)]))
@@ -80,7 +80,7 @@ def test_02_triple_sum_end_to_end_unrealizable():
 def test_03_conditional_end_to_end_unrealizable():
     p = _problem("g2.sy")
     started = time.perf_counter()
-    v = run_cegis(p, seed=0, sequential=True)
+    v = run_cegis(p, seed=0)
     assert v.verdict == "Unrealizable"
     res = check_unrealizable(p.grammar, p.spec, _examples(p, [(1,), (2,)]))
     assert str(res.values["Exp2"]) == "{<(0,0),{(2,4)}>}"
@@ -306,7 +306,7 @@ def test_09_constant_grammar_stays_unknown_across_seeds():
     p = _problem("gconst.sy")
     budgets = Budgets(seconds=30.0, max_size=20, max_rounds=5)
     for seed in range(10):
-        v = run_cegis(p, seed=seed, sequential=True, budgets=budgets)
+        v = run_cegis(p, seed=seed, budgets=budgets)
         assert v.verdict == "Unknown", seed
         assert v.verdict != "Unrealizable"
 
@@ -405,7 +405,7 @@ def test_13_verdict_json_is_deterministic(capsys):
 
 def test_14_disjunctive_max_realizable_and_checks_scale_linearly():
     p = _problem("max2.sy")
-    v = run_cegis(p, seed=0, sequential=True)
+    v = run_cegis(p, seed=0)
     assert v.verdict == "Realizable"
     assert synth.verify(v.witness, p.spec, p.variables) == ("valid", None)
     grid = _examples(p, list(itertools.product(range(-6, 7), repeat=2)))

@@ -65,7 +65,7 @@ def test_check_predabs_mode():
 
 
 def test_cegis_triple_sum_seed0():
-    v = run_cegis(_problem("g1.sy"), seed=0, sequential=True)
+    v = run_cegis(_problem("g1.sy"), seed=0)
     assert v.verdict == "Unrealizable"
     assert v.examples == [(-1,), (0,)]
     assert v.iterations == 2
@@ -80,7 +80,7 @@ def test_cegis_triple_sum_seed0():
 
 
 def test_cegis_conditional_grammar_seed0():
-    v = run_cegis(_problem("g2.sy"), seed=0, sequential=True)
+    v = run_cegis(_problem("g2.sy"), seed=0)
     assert v.verdict == "Unrealizable"
     # same counterexample path: x=0 forces every term to 0, target is 2
     assert v.examples == [(-1,), (0,)]
@@ -88,7 +88,7 @@ def test_cegis_conditional_grammar_seed0():
 
 
 def test_cegis_constant_grammar_hits_round_limit():
-    v = run_cegis(_problem("gconst.sy"), seed=0, sequential=True,
+    v = run_cegis(_problem("gconst.sy"), seed=0,
                   budgets=Budgets(max_rounds=5))
     assert v.verdict == "Unknown"
     assert v.reason == "max-rounds"
@@ -110,7 +110,7 @@ def test_cegis_realizable_candidate():
 (constraint (= (f x) (+ x x)))
 (check-synth)
 """
-    v = run_cegis(parse_problem(text), seed=0, sequential=True)
+    v = run_cegis(parse_problem(text), seed=0)
     assert v.verdict == "Realizable"
     assert v.witness is not None
     assert v.witness.to_sexpr() in ("(+ x x)",)
@@ -162,13 +162,8 @@ def test_cegis_zero_arity_exhausts_inputs():
     assert v.reason == "inputs-exhausted"
 
 
-def test_cegis_parallel_agrees_on_verdict():
-    v = run_cegis(_problem("g1.sy"), seed=0, sequential=False)
-    assert v.verdict == "Unrealizable"
-
-
 def test_cegis_predabs_mode_end_to_end():
-    v = run_cegis(_problem("parity.sy"), seed=0, sequential=True,
+    v = run_cegis(_problem("parity.sy"), seed=0,
                   mode="predabs")
     assert v.verdict == "Unrealizable"
     assert v.iterations == 1
@@ -176,15 +171,15 @@ def test_cegis_predabs_mode_end_to_end():
 
 
 def test_trace_records_start_values():
-    v = run_cegis(_problem("g1.sy"), seed=0, sequential=True)
+    v = run_cegis(_problem("g1.sy"), seed=0)
     assert v.trace[0]["start_value"] == "{<(0),{(-3)}>}"
     assert v.trace[1]["start_value"] == "{<(0,0),{(-3,0)}>}"
 
 
 def test_verdict_json_shape_and_determinism():
     p = _problem("g1.sy")
-    a = run_cegis(p, seed=0, sequential=True).to_json()
-    b = run_cegis(p, seed=0, sequential=True).to_json()
+    a = run_cegis(p, seed=0).to_json()
+    b = run_cegis(p, seed=0).to_json()
     assert a == b
     payload = json.loads(a)
     assert sorted(payload) == ["examples", "iterations", "reason",
@@ -204,6 +199,6 @@ def test_verdict_payload_with_witness():
 
 def test_different_seeds_can_pick_different_examples():
     p = _problem("g1.sy")
-    rows = {tuple(run_cegis(p, seed=s, sequential=True).examples[0])
+    rows = {tuple(run_cegis(p, seed=s).examples[0])
             for s in range(4)}
     assert len(rows) > 1

@@ -193,10 +193,21 @@ def test_parse_error_reports_position(capsys, tmp_path):
 
 
 def test_conflicting_modes_rejected(capsys):
+    # --parallel is not an option: the loop is always sequential
     with pytest.raises(SystemExit) as exc:
-        cli.main(["check", str(PROBLEMS / "g1.sy"),
-                  "--sequential", "--parallel"])
+        cli.main(["check", str(PROBLEMS / "g1.sy"), "--parallel"])
     assert exc.value.code == 2
+
+
+def test_flags_only_on_the_commands_that_read_them(capsys):
+    for command in ("export-horn", "dump-equations"):
+        for flag in (["--json"], ["--mode", "sl"], ["-v"],
+                     ["--export-smt", "out"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, str(PROBLEMS / "g1.sy"),
+                          "--examples", "x=1", *flag])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _child_env():
@@ -258,15 +269,41 @@ def _run_child(*argv):
 
 
 def test_grammar_outside_exact_mode_is_usage_error():
-    # Double has no exact semi-linear abstraction
-    for argv in (["check"], ["check-examples", "--examples", "x=3"]):
+    # Double has no exact semi-linear abstraction; only the commands with
+    # a --mode flag suggest the other mode
+    for argv, hint in ((["check"], True),
+                       (["check-examples", "--examples", "x=3"], True),
+                       (["dump-equations", "--examples", "x=1"], False)):
         out = _run_child(argv[0], str(PROBLEMS / "parity.sy"), *argv[1:])
         assert out.returncode == 2
         assert out.stdout == ""
         assert out.stderr.startswith("error: no exact abstraction for Double")
-        assert "--mode predabs" in out.stderr
+        assert ("--mode predabs" in out.stderr) == hint
         assert len(out.stderr.splitlines()) == 1
         assert "Traceback" not in out.stderr
+
+
+def test_predabs_check_past_one_example_ends_in_a_verdict(capsys):
+    # g1's loop reaches two examples in round 2, where the per-output
+    # predicates answer Unknown and the loop keeps going
+    code, out, _ = _run(capsys, "check", str(PROBLEMS / "g1.sy"),
+                        "--mode", "predabs", "--max-rounds", "4", "--json")
+    assert code == 20
+    payload = json.loads(out)
+    assert payload["reason"] == "max-rounds"
+    assert [r["check"] for r in payload["trace"]] == ["Unknown"] * 4
+    jsonschema.validate(payload, SCHEMA)
+
+
+def test_predabs_on_two_examples_is_unknown(capsys):
+    code, out, _ = _run(capsys, "check-examples", str(PROBLEMS / "g1.sy"),
+                        "--examples", "x=1;x=2", "--mode", "predabs",
+                        "--json")
+    assert code == 20
+    payload = json.loads(out)
+    assert payload["verdict"] == "Unknown"
+    assert payload["reason"] == "predabs-single-example"
+    jsonschema.validate(payload, SCHEMA)
 
 
 def _nested_and(depth):

@@ -76,16 +76,6 @@ def test_term_budget_reports_budget():
     assert out.status == "budget"
 
 
-def test_stop_event_aborts():
-    import threading
-    stop = threading.Event()
-    stop.set()
-    p = _problem("g1.sy")
-    ps, e = _pointspec(p, [(1,)])
-    out = enumerate_solve(p.grammar, ps, e, stop=stop)
-    assert out.status == "budget"
-
-
 def test_enumerates_through_conditionals():
     p = _problem("g2.sy")
     # on x=1 alone the term 2x works: f(1)=2=2*1+2-2... target is 2x+2=4

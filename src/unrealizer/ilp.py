@@ -2,8 +2,15 @@
 
 Systems are conjunctions of linear constraints with integer coefficients
 over integer variables, some restricted to be nonnegative.  Decisions are
-exact: the LP relaxations are solved with a phase-1 simplex over Python
-ints (fraction-free Bareiss pivoting, Bland's rule), and integrality is
+exact.  A presolve normalizes the rows and propagates integer bounds:
+rows on one variable become bounds, fixed variables are substituted, and
+a system whose bounds cross, or that pins every variable to one point, is
+decided there with 0 nodes (singleton-row and fixed-column reduction;
+Andersen & Andersen 1995, Savelsbergh 1994).  Every other system goes to
+branch and bound on the normalized rows, not on the reduced ones, so its
+LP path, vertex and witness are those of the full system.  The LP
+relaxations are solved with a phase-1 simplex over Python ints
+(fraction-free Bareiss pivoting, Bland's rule), and integrality is
 recovered by branch and bound.  Before the first branch, the equality rows
 are checked for an integer solution (Hermite normal form), which settles
 lattice gaps outright.  Completeness on unbounded polyhedra comes from an
@@ -284,6 +291,68 @@ def _presolve(sys: IlpSystem) -> list[tuple[dict[str, int], str, int]] | None:
     return out
 
 
+def _propagate(sys: IlpSystem,
+               constraints: list[tuple[dict[str, int], str, int]],
+               ) -> Feasibility | None:
+    """Decide a presolved system by exact bound propagation, if that can.
+
+    A nonneg variable starts with lower bound 0.  A row left with one
+    variable becomes a bound on it, rounded to an integer (a*x <= b gives
+    x <= floor(b/a) for a > 0, x >= ceil(b/a) for a < 0; a*x = b gives
+    both, so it fixes x, or crosses them when a does not divide b).  A
+    variable whose bounds meet is fixed and substituted into every row,
+    which may leave rows empty (checked) or with one variable (a new
+    bound); this repeats until no variable is newly fixed.  Each step is
+    an integer consequence of the rows, so crossed bounds or a violated
+    empty row mean "unsat", and when every variable ends fixed that point
+    is the only integer solution, the one branch and bound would return
+    too.  Otherwise None: propagation leaves the system open.
+    """
+    lower: dict[str, int | None] = {v: (0 if nonneg else None)
+                                    for v, nonneg in sys.variables}
+    upper: dict[str, int | None] = dict.fromkeys(lower)
+    fixed: dict[str, int] = {}
+    unsat = Feasibility("unsat", None, 0)
+    rows = constraints
+    while True:
+        nfixed = len(fixed)
+        left = []
+        for coeffs, rel, rhs in rows:
+            if not fixed.keys().isdisjoint(coeffs):
+                rhs -= sum(k * fixed[v] for v, k in coeffs.items()
+                           if v in fixed)
+                coeffs = {v: k for v, k in coeffs.items() if v not in fixed}
+            if len(coeffs) > 1:
+                left.append((coeffs, rel, rhs))
+                continue
+            if not coeffs:
+                if (rhs != 0) if rel == EQ else (rhs < 0):
+                    return unsat
+                continue
+            # an equality gets both bounds; they cross if a does not divide rhs
+            ((v, a),) = coeffs.items()
+            if rel == EQ or a > 0:
+                b = rhs // a
+                upper[v] = b if upper[v] is None else min(upper[v], b)
+            if rel == EQ or a < 0:
+                b = -(rhs // -a)
+                lower[v] = b if lower[v] is None else max(lower[v], b)
+            lo, hi = lower[v], upper[v]
+            if lo is not None and hi is not None:
+                if lo > hi:
+                    return unsat
+                if lo == hi:
+                    fixed[v] = lo
+        rows = left
+        if len(fixed) == nfixed:
+            break
+    if len(fixed) < len(lower):
+        return None
+    w = {v: fixed[v] for v in lower}
+    _check_witness(sys, w)
+    return Feasibility("sat", w, 0)
+
+
 def _equalities_integral(varnames: list[str],
                          constraints: list[tuple[dict[str, int], str, int]],
                          ) -> bool:
@@ -320,19 +389,27 @@ def _equalities_integral(varnames: list[str],
 
 
 def feasible(sys: IlpSystem, node_budget: int = 10 ** 6) -> Feasibility:
-    """Exact integer feasibility by branch and bound on the LP relaxation.
+    """Exact integer feasibility: presolve, then branch and bound on the LP
+    relaxation.
 
-    Branch bounds may descend without the LP ever going infeasible (no
-    integer point but rational ones everywhere); the a-priori magnitude
-    bound caps that descent, so the answer "unsat" is exact.  "unknown"
-    only appears when the node budget runs out first.
+    Presolve (`_presolve`, then `_propagate`) settles a system outright
+    when it refutes the rows or fixes every variable to one integer
+    point; such an answer reports 0 nodes.  Every other system
+    goes to branch and bound on the presolved rows, not on the ones
+    propagation reduced, so the relaxation, its vertices and hence the
+    witness are those of the full system.  Branch bounds may descend
+    without the LP ever going infeasible (no integer point but rational
+    ones everywhere); the a-priori magnitude bound caps that descent, so
+    the answer "unsat" is exact.  "unknown" only appears when the node
+    budget runs out first.
     """
     varnames = [v for v, _ in sys.variables]
     constraints = _presolve(sys)
     if constraints is None:
         return Feasibility("unsat", None, 0)
-    if not varnames:
-        return Feasibility("sat", {}, 0)
+    decided = _propagate(sys, constraints)
+    if decided is not None:
+        return decided
 
     bound = _magnitude_bound(sys)
     lower0: dict[str, int | None] = {v: (0 if nonneg else None)

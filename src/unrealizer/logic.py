@@ -186,9 +186,6 @@ def substitute(f, mapping):
 
 # --- normal forms -----------------------------------------------------------
 
-_NEG_REL = {"=": None, "!=": "=", "<": None, "<=": None, ">": None, ">=": None}
-
-
 def _positive_atom(lhs, rel, rhs):
     # normalize to {=, <, <=} with possibly a disjunctive split
     if rel == ">":
@@ -276,14 +273,14 @@ def _freshen(g, renaming, fresh):
     return g
 
 
-def _branches(f, solver=None):
+def _branches(f, solver=None, rows=None):
     """Yield the DNF branches of f in order, splitting disjunctions lazily.
 
     Each pending entry holds a cons list of subformulas still to conjoin
     and the branch built so far.  With a solver, the partial conjunction
     is checked at a disjunction whenever it gained atoms since its last
     check, and one the solver refutes is dropped with every branch
-    extending it.
+    extending it.  `rows` is passed on to `branch_system`.
     """
     stack = [((_freshen(nnf(f), {}, itertools.count(1)), None),
               (), frozenset(), frozenset(), 0)]
@@ -305,7 +302,7 @@ def _branches(f, solver=None):
             elif g.op == "or":
                 if solver is not None and len(atoms) > checked:
                     if solver.refutes(branch_system(
-                            Branch(atoms, nonneg, free_bound))):
+                            Branch(atoms, nonneg, free_bound), rows)):
                         break
                     checked = len(atoms)
                 for h in reversed(g.args):
@@ -320,15 +317,31 @@ def _branches(f, solver=None):
             yield Branch(atoms, nonneg, free_bound)
 
 
-def branch_system(b):
+def branch_system(b, rows=None):
+    """The ILP system of one branch: a row per atom, over the variables
+    of every atom (those whose coefficients cancel too) and the bound
+    ones, nonneg where the branch says so.
+
+    `rows` maps an atom to its row and its variables; a caller that
+    builds many systems from the same atoms passes one dict to all of
+    them, so each atom's row is built once.  Without it every atom is
+    built afresh.
+    """
+    if rows is None:
+        rows = {}
     varnames = set(b.nonneg) | set(b.free_bound)
-    for lhs, _, rhs in b.atoms:
-        varnames |= lhs.variables() | rhs.variables()
-    variables = {v: v in b.nonneg for v in sorted(varnames)}
     cons = []
-    for lhs, rel, rhs in b.atoms:
-        diff = lin_sub(lhs, rhs)
-        cons.append(ilp.constraint(dict(diff.coeffs), rel, -diff.const))
+    for a in b.atoms:
+        row = rows.get(a)
+        if row is None:
+            lhs, rel, rhs = a
+            diff = lin_sub(lhs, rhs)
+            row = rows[a] = (
+                ilp.constraint(dict(diff.coeffs), rel, -diff.const),
+                lhs.variables() | rhs.variables())
+        cons.append(row[0])
+        varnames |= row[1]
+    variables = {v: v in b.nonneg for v in sorted(varnames)}
     return ilp.system(variables, cons)
 
 
@@ -336,9 +349,12 @@ def decide(f, solver):
     """Return ('sat', witness) or ('unsat', None); may raise BudgetExceeded.
 
     The witness is that of the first sat branch in `dnf_branches` order.
+    Each atom's row is built once per call and shared by the partial
+    conjunctions and the branches that contain it.
     """
-    for b in _branches(f, solver):
-        res = solver.feasible(branch_system(b))
+    rows = {}
+    for b in _branches(f, solver, rows):
+        res = solver.feasible(branch_system(b, rows))
         if res.status == "sat":
             return "sat", dict(res.witness)
     return "unsat", None

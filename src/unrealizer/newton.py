@@ -5,7 +5,8 @@ by Newton iteration: linearize the right-hand sides at the current
 valuation via a formal derivative, solve the resulting linear system
 exactly with star-based Gaussian elimination, and join the increment
 into the valuation.  Over this commutative idempotent domain the least
-fixpoint is reached after at most one iteration per variable.
+fixpoint is reached after at most one iteration per variable, and the
+iteration stops at the first step that leaves the valuation as it was.
 """
 
 from dataclasses import dataclass
@@ -90,7 +91,17 @@ def solve_linear(ls):
 
 
 def npa_solve(sys, solver=None, trace=None):
-    """Least fixpoint after exactly one Newton iteration per variable."""
+    """Least fixpoint by Newton iteration: at most one step per variable,
+    and none after the first step that leaves the valuation unchanged.
+
+    Stopping there is exact.  A step's linear system has the right-hand
+    sides f(nu) as its constant part, so its solution contains f(nu); if
+    joining it into nu changes nothing, nu is a pre-fixpoint, and Newton
+    iterates never exceed the least fixpoint, so nu is that fixpoint.
+    A step is a function of nu alone, so every later step would repeat
+    it.  Each step's valuation is appended to `trace`, the repeating one
+    included.
+    """
     variables = tuple(sys.equations)
     member = solver.member if solver is not None else None
 
@@ -117,9 +128,12 @@ def npa_solve(sys, solver=None, trace=None):
                         a[(x, y)] = a.get((x, y), sl.ZERO).combine(d)
             c[x] = total
         delta = solve_linear(LinearSystem(variables, a, c, sys.dimension))
-        nu = {x: tidy(nu[x].combine(delta[x])) for x in variables}
+        new = {x: tidy(nu[x].combine(delta[x])) for x in variables}
         if trace is not None:
-            trace.append({x: str(nu[x]) for x in variables})
+            trace.append({x: str(new[x]) for x in variables})
+        if new == nu:
+            break
+        nu = new
     return nu
 
 

@@ -92,7 +92,9 @@ def random_system(rng, max_vars=4, max_cons=6, box=8):
     return variables, constraints
 
 
-def brute_force(variables, constraints, box=8):
+def brute_points(variables, constraints, box):
+    """Every integer point of the system in [-box, box]^n (nonneg variables
+    from 0), one row each, columns in sorted variable order."""
     import numpy as np
 
     names = sorted(variables)
@@ -111,7 +113,11 @@ def brute_force(variables, constraints, box=8):
             ok &= lhs <= c.rhs
         else:
             ok &= lhs < c.rhs
-    return bool(ok.any())
+    return pts[ok]
+
+
+def brute_force(variables, constraints, box=8):
+    return len(brute_points(variables, constraints, box)) > 0
 
 
 def test_against_enumeration_oracle():
@@ -269,3 +275,124 @@ def test_export_smtlib_stable(tmp_path):
     solver = ilp.Solver(export_dir=str(tmp_path))
     solver.feasible(sys)
     assert (tmp_path / "query00001.smt2").read_text() == a
+
+
+def propagation_system(rng, box=5):
+    """A boxed random system rich in what propagation decides: rows on one
+    variable, equalities a*x = b with |a| > 1, rows that fall to one
+    variable once others are fixed, and rows it cannot settle.  Most rows
+    hold at a random point p and some are violated there, so both answers
+    are common."""
+    nvars = rng.randint(1, 4)
+    names = [f"x{i}" for i in range(nvars)]
+    variables = {v: rng.random() < 0.5 for v in names}
+    p = {v: rng.randint(0 if variables[v] else -box, box) for v in names}
+    constraints = []
+    for v in names:
+        constraints.append(ilp.constraint({v: 1}, "<=", box))
+        constraints.append(ilp.constraint({v: -1}, "<=", box))
+
+    def row(coeffs, rel):
+        at_p = sum(k * p[v] for v, k in coeffs.items())
+        off = rng.choice((0, 0, 0, 1, 2)) if rel != "=" else 0
+        if rng.random() < 0.15:  # off the point: often no solution left
+            off = -rng.randint(1, 3)
+        rhs = at_p + off + (1 if rel == "<" and off >= 0 else 0)
+        constraints.append(ilp.constraint(coeffs, rel, rhs))
+
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.random()
+        if kind < 0.3:  # one variable, any relation, |a| up to 3
+            row({rng.choice(names): rng.choice((-3, -2, -1, 1, 2, 3))},
+                rng.choice(("=", "<=", "<")))
+        elif kind < 0.5:  # an equality a*x = b with |a| > 1
+            v = rng.choice(names)
+            a = rng.choice((-3, -2, 2, 3))
+            rhs = a * p[v] + (rng.choice((-1, 1)) if rng.random() < 0.1 else 0)
+            constraints.append(ilp.constraint({v: a}, "=", rhs))
+        elif kind < 0.8:  # two or three variables, one row
+            vs = rng.sample(names, min(len(names), rng.randint(2, 3)))
+            row({v: rng.choice((-2, -1, 1, 2)) for v in vs},
+                rng.choice(("=", "<=", "<")))
+        elif len(names) > 1:  # y pinned, then x - y = c has one variable
+            x, y = rng.sample(names, 2)
+            constraints.append(ilp.constraint({y: 1}, "=", p[y]))
+            row({x: 1, y: -1}, "=")
+    rng.shuffle(constraints)
+    return variables, constraints
+
+
+def test_propagation_matches_brute_force():
+    rng = random.Random(77)
+    decided = {"sat": 0, "unsat": 0}
+    open_systems = 0
+    for _ in range(500):
+        variables, constraints = propagation_system(rng)
+        res = solve(variables, constraints)
+        points = [dict(zip(sorted(variables), map(int, pt)))
+                  for pt in brute_points(variables, constraints, 5)]
+        assert res.status == ("sat" if points else "unsat"), constraints
+        if len(points) == 1:
+            assert res.witness == points[0], constraints
+        if res.status == "sat":
+            assert res.witness in points
+        if res.nodes == 0:
+            decided[res.status] += 1
+        else:
+            open_systems += 1
+    # the mix exercises both answers of propagation and the fallback
+    assert min(decided.values()) >= 50 and open_systems >= 50, \
+        (decided, open_systems)
+
+
+def test_propagation_decides_one_variable_systems_without_branching():
+    res = solve({"x": False, "y": True},
+                [ilp.constraint({"y": 3}, "=", 6),
+                 ilp.constraint({"x": 2}, "<=", 7),
+                 ilp.constraint({"x": -1}, "<=", -3)])
+    assert res.status == "sat"
+    assert res.witness == {"x": 3, "y": 2}
+    assert list(res.witness) == ["x", "y"]  # variable order, not fixing order
+    assert res.nodes == 0
+    res = solve({"x": True}, [ilp.constraint({"x": 2}, "<=", 1),
+                              ilp.constraint({"x": -2}, "<", 0)])
+    assert res.status == "unsat"
+    assert res.nodes == 0
+    # fixing y leaves x with one row, which crosses x >= 0
+    res = solve({"x": True, "y": False},
+                [ilp.constraint({"x": 1, "y": 1}, "<=", 1),
+                 ilp.constraint({"y": 2}, "=", 4)])
+    assert res.status == "unsat"
+    assert res.nodes == 0
+
+
+def test_propagation_rounds_bounds_inward():
+    # y = 0 leaves 2x <= 3 (x <= 1) and -2x <= -3 (x >= 2), bounds that
+    # gcd normalization never sees; each decides the system on its own
+    y0 = ilp.constraint({"y": 1}, "=", 0)
+    up = ilp.constraint({"x": 2, "y": 1}, "<=", 3)
+    low = ilp.constraint({"x": -2, "y": 1}, "<=", -3)
+    for rows, status, witness in (
+            ([y0, up, ilp.constraint({"x": -1}, "<=", -1)], "sat", 1),
+            ([y0, up, ilp.constraint({"x": -1}, "<=", -2)], "unsat", None),
+            ([y0, low, ilp.constraint({"x": 1}, "<=", 2)], "sat", 2),
+            ([y0, low, ilp.constraint({"x": 1}, "<=", 1)], "unsat", None),
+            ([y0, ilp.constraint({"x": 2, "y": 1}, "=", 3)], "unsat", None),
+            ([y0, ilp.constraint({"x": -3, "y": 1}, "=", 6)], "sat", -2)):
+        res = solve({"x": False, "y": False}, rows)
+        assert res.status == status, rows
+        assert res.nodes == 0, rows
+        if witness is not None:
+            assert res.witness == {"x": witness, "y": 0}
+
+
+def test_system_propagation_leaves_open_goes_to_branch_and_bound():
+    # bounds that pin nothing: x in [0, 3], y free below 5, and a row over
+    # both, so the vertex branch and bound finds is the answer
+    res = solve({"x": True, "y": False},
+                [ilp.constraint({"x": 1}, "<=", 3),
+                 ilp.constraint({"y": 1}, "<", 5),
+                 ilp.constraint({"x": 1, "y": 1}, "=", 2)])
+    assert res.status == "sat"
+    assert res.nodes >= 1
+    assert res.witness["x"] + res.witness["y"] == 2

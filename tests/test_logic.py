@@ -341,3 +341,27 @@ def test_decide_survives_a_partial_conjunction_hard_for_the_ilp():
     res = Solver(node_budget=5000).feasible(lg.branch_system(first))
     assert lg.decide(f, Solver(node_budget=5000)) == \
         ("sat", dict(res.witness))
+
+
+def test_decide_shares_atom_rows_and_keeps_cancelled_variables():
+    # x + y = y + 3 cancels y, yet its system still declares y; the first
+    # branch (x < 0) is refuted and the second one's witness is returned
+    x = lg.lin({"x": 1})
+    f = lg.conj(lg.atom(lg.lin({"x": 1, "y": 1}), "=", lg.lin({"y": 1}, 3)),
+                lg.disj(lg.atom(x, "<", 0), lg.atom(x, ">", 1)))
+    expected = None
+    for b in lg.dnf_branches(f):
+        res = Solver().feasible(lg.branch_system(b))
+        if res.status == "sat":
+            expected = dict(res.witness)
+            break
+    assert expected is not None and set(expected) == {"x", "y"}
+    status, witness = lg.decide(f, Solver())
+    assert status == "sat"
+    assert witness == expected
+    assert list(witness) == list(expected)
+    # one dict of rows shared across branches builds the same systems
+    rows = {}
+    for b in lg.dnf_branches(f):
+        assert lg.branch_system(b, rows) == lg.branch_system(b)
+    assert len(rows) == 3

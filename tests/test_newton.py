@@ -1,7 +1,10 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from unrealizer import cli, clia
 from unrealizer import grammar as gr
 from unrealizer import newton
 from unrealizer import semilinear as sl
@@ -120,6 +123,82 @@ def test_npa_agrees_with_kleene_on_converging_systems():
             equations[x] = tuple(monos)
         sys = _system(equations, dim)
         assert npa_solve(sys) == kleene_solve(sys)
+
+
+def _npa_every_step(sys, solver):
+    """Newton iteration that runs one step per variable and never stops
+    early: the loop `npa_solve` shortens, kept as its oracle."""
+
+    def tidy(value):
+        return sl.prune(value, solver.member)
+
+    variables = tuple(sys.equations)
+    nu = {x: tidy(sl.combine_all([m.coeff for m in monos if not m.factors]))
+          for x, monos in sys.equations.items()}
+    for _ in variables:
+        a, c = {}, {}
+        for x, monos in sys.equations.items():
+            total = sl.zero()
+            for m in monos:
+                total = total.combine(monomial_value(m, nu))
+                for y in {f.var for f in m.factors}:
+                    d = derivative(m, y, nu)
+                    if not d.is_zero:
+                        a[(x, y)] = a.get((x, y), sl.ZERO).combine(d)
+            c[x] = total
+        delta = solve_linear(LinearSystem(variables, a, c, sys.dimension))
+        nu = {x: tidy(nu[x].combine(delta[x])) for x in variables}
+    return nu
+
+
+def test_npa_early_stop_agrees_with_one_step_per_variable():
+    rng = random.Random(5)
+    stopped_early = 0
+    for _ in range(60):
+        dim = rng.randint(1, 2)
+        names = ["X", "Y", "Z"][: rng.randint(1, 3)]
+        equations = {}
+        for x in names:
+            monos = [IntMonomial(_sls(tuple(rng.randint(-2, 2)
+                                            for _ in range(dim))))]
+            for _ in range(rng.randint(0, 2)):
+                fs = tuple(Factor(rng.choice(names))
+                           for _ in range(rng.randint(1, 2)))
+                monos.append(IntMonomial(
+                    _sls(tuple(rng.randint(-1, 1) for _ in range(dim))), fs))
+            equations[x] = tuple(monos)
+        sys = _system(equations, dim)
+        trace = []
+        solver = Solver()
+        assert npa_solve(sys, solver, trace) == _npa_every_step(sys, solver)
+        stopped_early += len(trace) < len(names)
+    assert stopped_early >= 10
+
+
+def test_npa_stops_within_two_steps_on_max3(monkeypatch, capsys):
+    # max3's ite stratum has one masked copy of Start per guard pattern, so
+    # its Start system has 16 variables at d = 5; the valuation still
+    # stops changing after the first step, and the second step shows it
+    steps = []
+
+    def counted(sys, solver=None, trace=None):
+        record = []
+        out = newton.npa_solve(sys, solver, record)
+        steps.append((len(sys.equations), len(record)))
+        if trace is not None:
+            trace.extend(record)
+        return out
+
+    monkeypatch.setattr(clia, "npa_solve", counted)
+    rng = random.Random(3)
+    rows = [[rng.randint(-5, 5) for _ in "xyz"] for _ in range(8)][:5]
+    examples = ";".join(f"x={x},y={y},z={z}" for x, y, z in rows)
+    problem = Path(__file__).parent / "problems" / "max3.sy"
+    cli.main(["check-examples", str(problem), "--examples", examples,
+              "--json"])
+    assert json.loads(capsys.readouterr().out)["verdict"] == "Realizable"
+    assert max(n for n, _ in steps) == 16
+    assert max(k for _, k in steps) <= 2, steps
 
 
 def test_npa_fixpoint_is_stable():

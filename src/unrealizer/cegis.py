@@ -7,7 +7,10 @@ synthesizer for a candidate correct on the persistent examples and
 verify it on all inputs.  Verified candidates settle realizability;
 counterexamples grow the persistent examples; when the synthesizer
 comes up empty, a temporary random example strengthens the next check.
-The loop is sequential and deterministic for a fixed seed.
+Enumeration reads only the persistent examples, so it reruns only when
+they change: the rounds after an empty result, which differ only in
+their random examples, reuse that result.  The loop is sequential and
+deterministic for a fixed seed.
 """
 
 import json
@@ -130,6 +133,7 @@ def run_cegis(problem, seed=0, budgets=None, mode="sl", solver=None):
     e_main = [_draw(rng, variables, set())]
     e_rand = []
     trace = []
+    synth_on = outcome = None  # the last enumeration's examples and result
 
     for k in range(1, budgets.max_rounds + 1):
         if time.monotonic() > deadline:
@@ -146,10 +150,14 @@ def run_cegis(problem, seed=0, budgets=None, mode="sl", solver=None):
             return Verdict("Unrealizable", examples=list(rows),
                            iterations=k, trace=trace)
 
-        outcome = synth.enumerate_solve(
-            g, specialize(spec, ExampleSet(variables, tuple(e_main))),
-            ExampleSet(variables, tuple(e_main)),
-            max_size=budgets.max_size, max_terms=budgets.max_terms)
+        # enumeration reads only the persistent examples and is
+        # deterministic: rerun it only when they have changed
+        if tuple(e_main) != synth_on:
+            synth_on = tuple(e_main)
+            e_synth = ExampleSet(variables, synth_on)
+            outcome = synth.enumerate_solve(
+                g, specialize(spec, e_synth), e_synth,
+                max_size=budgets.max_size, max_terms=budgets.max_terms)
         rec["synth"] = outcome.status
         if outcome.candidate is None:
             row = _draw(rng, variables, set(rows))

@@ -19,6 +19,22 @@ from .rewrite import normalize
 EXIT = {"Unrealizable": 0, "Realizable": 10, "Unknown": 20}
 
 
+def _at_least(convert, low):
+    """argparse type: `convert` the text and refuse values below `low`
+    (NaN included, since it compares false with everything)."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not value >= low:
+            raise argparse.ArgumentTypeError(
+                f"must be a number >= {low}, got {text!r}")
+        return value
+    return parse
+
+
 def _parser():
     top = argparse.ArgumentParser(
         prog="unrealizer",
@@ -50,9 +66,10 @@ def _parser():
     p.add_argument("--sequential", action="store_true",
                    help="accepted for compatibility; the loop is always "
                         "sequential")
-    p.add_argument("--budget-seconds", type=float, default=60.0)
-    p.add_argument("--max-term-size", type=int, default=20)
-    p.add_argument("--max-rounds", type=int, default=20)
+    p.add_argument("--budget-seconds", type=_at_least(float, 0),
+                   default=60.0)
+    p.add_argument("--max-term-size", type=_at_least(int, 1), default=20)
+    p.add_argument("--max-rounds", type=_at_least(int, 0), default=20)
 
     p = sub.add_parser("check-examples",
                        help="single exact check on given examples")

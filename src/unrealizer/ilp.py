@@ -23,6 +23,7 @@ constraints; a failed recheck raises, it is never reported as a result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -125,6 +126,14 @@ def _phase1_simplex(rows: list[list[int]], nvars: int) -> list[Fraction] | None:
     then den = p.  Every pivot is positive, so signs and the ratio test
     (by cross-multiplication) read as they do on the rational tableau, and
     the pivot sequence is exactly that of the rational simplex.
+
+    The tableaux here are wide and sparse, and most pivots have p == den.
+    Such a pivot changes a row only in the columns where the pivot row is
+    nonzero, so `_eliminate` recomputes just those (the pivot row's
+    support, collected once per pivot).  The entries it writes are the
+    ones the full-row update writes, which keeps the rows, Bland's choice
+    of entering column, the ratio test's tie-break and hence the pivot
+    path and the vertex exactly as they are without it.
     """
     m = len(rows)
     if m == 0:
@@ -165,10 +174,13 @@ def _phase1_simplex(rows: list[list[int]], nvars: int) -> list[Fraction] | None:
             return None
         prow = tab[leave]
         piv = prow[enter]
+        # when piv == den, only the pivot row's nonzero columns change
+        support = ([(j, y) for j, y in enumerate(prow) if y]
+                   if piv == den else None)
         for i in range(m):
             if i != leave:
-                tab[i] = _eliminate(tab[i], prow, piv, den, enter)
-        obj = _eliminate(obj, prow, piv, den, enter)
+                tab[i] = _eliminate(tab[i], prow, piv, den, enter, support)
+        obj = _eliminate(obj, prow, piv, den, enter, support)
         den = piv
         basis[leave] = enter
 
@@ -184,13 +196,27 @@ def _phase1_simplex(rows: list[list[int]], nvars: int) -> list[Fraction] | None:
 
 
 def _eliminate(row: list[int], prow: list[int], piv: int, den: int,
-               col: int) -> list[int]:
+               col: int, support: list[tuple[int, int]] | None) -> list[int]:
     """`row` after the fraction-free pivot on prow[col] = piv; the old
-    common denominator is `den`, the new one `piv`."""
+    common denominator is `den`, the new one `piv`.
+
+    When piv == den, `support` lists the (column, entry) pairs where
+    `prow` is nonzero.  An entry x outside the support then maps to
+    (den * x - f * 0) / den = x, so only the support columns are
+    recomputed, on a copy of the row.  Each maps to x - f * y / den, a
+    division that is exact because den * x - f * y is divisible by den.
+    Every entry equals the one the full-row update gives, so the simplex
+    walks the same path either way.
+    """
     f = row[col]
-    if f == 0:
-        if piv == den:
+    if piv == den:
+        if f == 0:
             return row
+        out = row[:]
+        for j, y in support:
+            out[j] -= f * y // den
+        return out
+    if f == 0:
         return [piv * x // den for x in row]
     if den == 1:
         return [piv * x - f * y for x, y in zip(row, prow)]
@@ -267,8 +293,6 @@ def _presolve(sys: IlpSystem) -> list[tuple[dict[str, int], str, int]] | None:
     its coefficients, and an equality whose gcd does not divide its
     right-hand side is a lattice infeasibility.
     """
-    import math
-
     out = []
     for c in sys.constraints:
         coeffs = dict(c.coeffs)

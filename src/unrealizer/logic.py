@@ -165,23 +165,36 @@ def substitute(f, mapping):
     """Replace variables by LinTerms (or ints) throughout a formula."""
     terms = {v: t if isinstance(t, LinTerm) else lin(const=int(t))
              for v, t in mapping.items()}
+    return _substitute(f, terms)
 
-    def sub_term(t):
-        out = lin(const=t.const)
-        for v, c in t.coeffs:
-            out = lin_add(out, lin_scale(terms[v], c) if v in terms
-                          else lin(((v, c),)))
-        return out
 
+def _substitute(f, terms):
     if f.op == "atom":
         lhs, rel, rhs = f.atom
-        return LiaFormula("atom", atom=(sub_term(lhs), rel, sub_term(rhs)))
+        return LiaFormula("atom", atom=(_sub_term(lhs, terms), rel,
+                                        _sub_term(rhs, terms)))
     if f.op in ("true", "false"):
         return f
     if f.op == "exists" and any(v in terms for v in f.bound):
         raise ValueError("substitution would capture a bound variable")
-    return LiaFormula(f.op, tuple([substitute(g, mapping) for g in f.args]),
+    return LiaFormula(f.op, tuple([_substitute(g, terms) for g in f.args]),
                       bound=f.bound, nonneg=f.nonneg)
+
+
+def _sub_term(t, terms):
+    """t with every mapped variable replaced: coefficients are summed in
+    one dict and sorted once, the canonical form `lin` gives."""
+    acc = {}
+    const = t.const
+    for v, c in t.coeffs:
+        s = terms.get(v)
+        if s is None:
+            acc[v] = acc.get(v, 0) + c
+            continue
+        const += c * s.const
+        for w, k in s.coeffs:
+            acc[w] = acc.get(w, 0) + c * k
+    return LinTerm(tuple(sorted((v, c) for v, c in acc.items() if c)), const)
 
 
 # --- normal forms -----------------------------------------------------------

@@ -3,10 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from unrealizer import cegis
+from unrealizer import cegis, synth
 from unrealizer import grammar as gr
 from unrealizer.cegis import Budgets, CheckResult, Verdict, check_unrealizable, run_cegis
-from unrealizer.frontend import parse_problem
+from unrealizer.frontend import parse_problem, specialize
 from unrealizer.ilp import Solver
 
 PROBLEMS = Path(__file__).parent / "problems"
@@ -202,3 +202,30 @@ def test_different_seeds_can_pick_different_examples():
     rows = {tuple(run_cegis(p, seed=s).examples[0])
             for s in range(4)}
     assert len(rows) > 1
+
+
+def test_cegis_enumerates_once_per_persistent_example_list(monkeypatch):
+    # gconst at seed 0: ten rounds find a candidate and grow the
+    # persistent examples, then six end in "budget" on the same list and
+    # differ only in their random examples
+    p = _problem("gconst.sy")
+    budgets = Budgets(max_rounds=16)
+    calls = []
+    enumerate_solve = synth.enumerate_solve
+
+    def recording(g, ps, e, **kw):
+        calls.append(e.rows)
+        return enumerate_solve(g, ps, e, **kw)
+
+    monkeypatch.setattr(synth, "enumerate_solve", recording)
+    v = run_cegis(p, seed=0, budgets=budgets)
+    monkeypatch.undo()
+    lists = [tuple(tuple(r) for r in rec["examples"]) for rec in v.trace]
+    assert calls == list(dict.fromkeys(lists))
+    assert len(calls) < len(v.trace) == 16
+    for rec, rows in zip(v.trace, lists):
+        e = gr.ExampleSet(p.variables, rows)
+        fresh = enumerate_solve(p.grammar, specialize(p.spec, e), e,
+                                max_size=budgets.max_size,
+                                max_terms=budgets.max_terms)
+        assert rec["synth"] == fresh.status

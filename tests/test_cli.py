@@ -331,3 +331,21 @@ def test_too_deep_nesting_is_usage_error(tmp_path):
     assert out.stderr.startswith("error: line 3, col ")
     assert "nesting deeper than" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--max-rounds", "-1"),
+    ("--max-term-size", "0"),
+    ("--max-term-size", "-2"),
+    ("--budget-seconds", "-1"),
+    ("--budget-seconds", "nan"),
+])
+def test_nonsensical_numeric_options_are_usage_errors(flag, value):
+    out = _run_child("check", str(PROBLEMS / "gconst.sy"), flag, value,
+                     "--json")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    errors = [line for line in out.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert flag in errors[0]
+    assert "Traceback" not in out.stderr

@@ -1,0 +1,46 @@
+"""Byte-exact stdout of the command line on the bundled problems.
+
+The files under ``golden/`` pin verdicts, witnesses, counterexamples and
+traces, simplex vertices included (gconst, max2 and g1 reach the LP
+relaxation).  They were written by running each command below with
+``python -m unrealizer`` and saving its stdout; a change that alters
+any of them alters the checker's output.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parent.parent
+PROBLEMS = Path(__file__).parent / "problems"
+GOLDEN = Path(__file__).parent / "golden"
+
+MAX3_EXAMPLES = "x=1,y=2,z=3;x=-1,y=4,z=0;x=3,y=-2,z=2;x=0,y=0,z=5"
+
+CASES = [
+    ("check_g1.json", 0, ["check", "g1.sy", "--seed", "0", "--json"]),
+    ("check_g2.json", 0, ["check", "g2.sy", "--seed", "0", "--json"]),
+    ("check_gconst.json", 20,
+     ["check", "gconst.sy", "--seed", "0", "--json"]),
+    ("check_max2.json", 10, ["check", "max2.sy", "--seed", "0", "--json"]),
+    ("check_predabs_parity.json", 0,
+     ["check", "parity.sy", "--mode", "predabs", "--seed", "0", "--json"]),
+    ("check_examples_max3.json", 10,
+     ["check-examples", "max3.sy", "--json", "--examples", MAX3_EXAMPLES]),
+]
+
+
+@pytest.mark.parametrize("golden, code, argv", CASES,
+                         ids=[c[0] for c in CASES])
+def test_cli_output_matches_golden(golden, code, argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    argv = [str(PROBLEMS / a) if a.endswith(".sy") else a for a in argv]
+    out = subprocess.run([sys.executable, "-m", "unrealizer", *argv],
+                         capture_output=True, timeout=120, env=env)
+    assert out.returncode == code
+    assert out.stdout == (GOLDEN / golden).read_bytes()

@@ -263,6 +263,35 @@ def test_integer_pivoting_walks_the_rational_pivot_sequence():
     assert 50 < feasible_seen < 350
 
 
+def test_support_only_pivots_walk_the_rational_pivot_sequence(monkeypatch):
+    # wide, mostly-zero tableaux like the ones CEGIS builds; eliminations
+    # take both the support-only update (piv == den) and the full-row
+    # one, and must land on the rational simplex's vertex either way
+    branches = {"support": 0, "full": 0}
+    eliminate = ilp._eliminate
+
+    def counting(row, prow, piv, den, col, support):
+        if row[col]:
+            branches["support" if piv == den else "full"] += 1
+        return eliminate(row, prow, piv, den, col, support)
+
+    monkeypatch.setattr(ilp, "_eliminate", counting)
+    rng = random.Random(4051)
+    feasible_seen = 0
+    for _ in range(150):
+        m, n = rng.randint(1, 12), rng.randint(1, 16)
+        rows = []
+        for _ in range(m):
+            row = [rng.randint(-4, 4) if rng.random() < 0.3 else 0
+                   for _ in range(n)]
+            rows.append(row + [rng.choice((0, rng.randint(0, 9)))])
+        want = reference_phase1(rows, n)
+        assert ilp._phase1_simplex([list(r) for r in rows], n) == want
+        feasible_seen += want is not None
+    assert branches["support"] > 0 and branches["full"] > 0
+    assert 20 < feasible_seen < 130
+
+
 def test_export_smtlib_stable(tmp_path):
     sys = ilp.system({"x": True, "y": False},
                      [ilp.constraint({"x": 2, "y": -1}, "<=", 3)])

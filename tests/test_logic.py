@@ -68,6 +68,73 @@ def test_substitute():
         lg.substitute(h, {"k": lg.lin(const=1)})
 
 
+def _chained_substitute(f, mapping):
+    """The term-by-term substitution that `substitute` replaced, kept
+    as its oracle: one lin_add/lin_scale per coefficient."""
+    terms = {v: t if isinstance(t, lg.LinTerm) else lg.lin(const=int(t))
+             for v, t in mapping.items()}
+
+    def sub_term(t):
+        out = lg.lin(const=t.const)
+        for v, c in t.coeffs:
+            out = lg.lin_add(out, lg.lin_scale(terms[v], c) if v in terms
+                             else lg.lin(((v, c),)))
+        return out
+
+    if f.op == "atom":
+        lhs, rel, rhs = f.atom
+        return lg.LiaFormula("atom", atom=(sub_term(lhs), rel, sub_term(rhs)))
+    if f.op in ("true", "false"):
+        return f
+    if f.op == "exists" and any(v in terms for v in f.bound):
+        raise ValueError("substitution would capture a bound variable")
+    return lg.LiaFormula(f.op, tuple([_chained_substitute(g, mapping)
+                                      for g in f.args]),
+                         bound=f.bound, nonneg=f.nonneg)
+
+
+def test_substitute_matches_term_by_term_substitution():
+    rng = random.Random(77)
+    names = ["x", "y", "z", "%out"]
+
+    def term():
+        return lg.lin([(rng.choice(names), rng.randint(-3, 3))
+                       for _ in range(rng.randint(0, 4))], rng.randint(-5, 5))
+
+    def formula(depth):
+        pick = rng.random()
+        if depth == 0 or pick < 0.35:
+            return lg.atom(term(), rng.choice(lg.RELOPS), term())
+        if pick < 0.45:
+            return rng.choice((lg.TRUE, lg.FALSE))
+        if pick < 0.6:
+            return lg.neg(formula(depth - 1))
+        if pick < 0.75:
+            return lg.exists(("k",), formula(depth - 1), rng.random() < 0.5)
+        op = lg.conj if pick < 0.9 else lg.disj
+        return op(*[formula(depth - 1) for _ in range(rng.randint(2, 3))])
+
+    cancelled = 0
+    for _ in range(300):
+        f = formula(3)
+        mapping = {}
+        for v in rng.sample(names, rng.randint(1, 3)):
+            mapping[v] = term() if rng.random() < 0.8 else rng.randint(-4, 4)
+        # x -> y - x and y -> x - y cancel in x + y
+        if rng.random() < 0.3:
+            mapping = {"x": lg.lin({"y": 1, "x": -1}),
+                       "y": lg.lin({"x": 1, "y": -1})}
+            f = lg.conj(f, lg.atom(lg.lin({"x": 1, "y": 1}), "=", 0))
+            cancelled += 1
+        want = _chained_substitute(f, mapping)
+        assert lg.substitute(f, mapping) == want
+    assert cancelled > 50
+    # a bound name in the mapping is refused, as before
+    h = lg.exists(("k",), lg.atom(lg.lin({"k": 1, "x": 2}), "<", 0))
+    with pytest.raises(ValueError):
+        lg.substitute(lg.conj(lg.TRUE, h), {"k": 1})
+
+
 def test_nnf_pushes_negation():
     x = lg.lin({"x": 1})
     f = lg.neg(lg.conj(lg.atom(x, "<", 5), lg.atom(x, "=", 3)))

@@ -6,9 +6,14 @@ compares two semi-linear integer abstractions: a vector b belongs to the
 result iff some concrete o1, o2 drawn from the two concretizations satisfy
 b = (o1 < o2) coordinatewise.  A bounded concretization scan first finds
 cheap positive witnesses.  The rest is a depth-first search over
-coordinates that fixes one sign per level: a prefix the integer solver
-refutes cuts off all of its extensions at once, and each full-length
-pattern left is decided by exact integer feasibility.
+coordinates that fixes one sign per level: a refuted prefix cuts off all
+of its extensions at once, and each full-length pattern left is decided
+by exact integer feasibility.  A prefix one sign longer adds one row to
+its parent's system, so its `ilp.Closure` (exact bound propagation) is
+its parent's extended by that row, which is the closure of the whole
+prefix system since propagation is monotone.  The closure decides the
+prefix when propagation refutes it or pins every multiplier; only the
+prefixes it leaves open go to the solver, with the closure passed on.
 """
 
 from __future__ import annotations
@@ -59,38 +64,72 @@ def abs_and(b1: BoolVecSet, b2: BoolVecSet) -> BoolVecSet:
     return frozenset(conj(a, b) for a in b1 for b in b2)
 
 
+class _Pair:
+    """One pair of components c1, c2: the rows that put o1 in c1, o2 in c2
+    and one sign of o1 < o2 on one coordinate, and the closures of the
+    sign prefixes reached so far.
+
+    The variables are the generator multipliers, nonneg: a0.. for c1 and
+    b0.. for c2.  Coordinate i has a row per sign, both over
+    o1_i - o2_i as a sum of multipliers plus a constant.
+    """
+
+    __slots__ = ("variables", "rows", "closures")
+
+    def __init__(self, c1: LinearSet, c2: LinearSet):
+        self.variables = {f"a{j}": True for j in range(len(c1.gens))}
+        self.variables.update({f"b{j}": True for j in range(len(c2.gens))})
+        self.rows: list[tuple[ilp.Constraint, ilp.Constraint]] = []
+        for i in range(len(c1.base)):
+            coeffs = {f"a{j}": g[i] for j, g in enumerate(c1.gens)}
+            coeffs.update({f"b{j}": -g[i] for j, g in enumerate(c2.gens)})
+            const = c1.base[i] - c2.base[i]
+            # o1_i >= o2_i, i.e. -(o1_i - o2_i) <= 0; and o1_i < o2_i
+            self.rows.append((
+                ilp.constraint({v: -k for v, k in coeffs.items()}, ilp.LE,
+                               const),
+                ilp.constraint(coeffs, ilp.LT, -const)))
+        self.closures: dict[BoolVec, ilp.Closure] = {}
+
+    def system(self, pattern: BoolVec) -> ilp.IlpSystem:
+        """The rows of the pattern's coordinates; a pattern shorter than
+        the dimension constrains only its own prefix."""
+        return ilp.system(self.variables,
+                          [self.rows[i][want] for i, want in enumerate(pattern)])
+
+    def closure(self, prefix: BoolVec) -> ilp.Closure:
+        """The closure of the prefix's rows: its parent's, extended by the
+        last coordinate's row, memoised."""
+        cl = self.closures.get(prefix)
+        if cl is None:
+            if prefix:
+                cl = self.closure(prefix[:-1]).add(
+                    (self.rows[len(prefix) - 1][prefix[-1]],))
+            else:
+                cl = ilp.Closure().add((), self.variables.items())
+            self.closures[prefix] = cl
+        return cl
+
+
 def _pattern_system(c1: LinearSet, c2: LinearSet, pattern: BoolVec) -> ilp.IlpSystem:
     """Feasibility of: o1 in c1, o2 in c2, (o1 < o2) == pattern coordinatewise.
 
     A pattern shorter than the dimension constrains only its own prefix of
     coordinates.
     """
-    variables: dict[str, bool] = {}
-    cons: list[ilp.Constraint] = []
-    for tag, c in (("a", c1), ("b", c2)):
-        for j in range(len(c.gens)):
-            variables[f"{tag}{j}"] = True
-    for i, want in enumerate(pattern):
-        # o1_i - o2_i expressed over the generator multipliers
-        coeffs: dict[str, int] = {}
-        for j, g in enumerate(c1.gens):
-            coeffs[f"a{j}"] = coeffs.get(f"a{j}", 0) + g[i]
-        for j, g in enumerate(c2.gens):
-            coeffs[f"b{j}"] = coeffs.get(f"b{j}", 0) - g[i]
-        const = c1.base[i] - c2.base[i]
-        if want:  # o1_i < o2_i
-            cons.append(ilp.constraint(coeffs, ilp.LT, -const))
-        else:     # o1_i >= o2_i, i.e. -(o1_i - o2_i) <= 0
-            cons.append(ilp.constraint({v: -k for v, k in coeffs.items()}, ilp.LE, const))
-    return ilp.system(variables, cons)
+    return _Pair(c1, c2).system(pattern)
 
 
 class LessThanCache:
-    """Memoized abs_less_than over one fixed dimension."""
+    """Memoized abs_less_than over one fixed dimension.  Each component
+    pair's rows are built once, and the closure of each (pair, prefix)
+    the search reaches is kept, so a prefix reached again, or extended,
+    is not propagated again."""
 
     def __init__(self, solver: ilp.Solver):
         self.solver = solver
         self._memo: dict[tuple, BoolVecSet] = {}
+        self._pairs: dict[tuple[LinearSet, LinearSet], _Pair] = {}
 
     def abs_less_than(self, sl1: SemiLinearSet, sl2: SemiLinearSet) -> BoolVecSet:
         key = (sl1, sl2)
@@ -98,6 +137,12 @@ class LessThanCache:
         if hit is None:
             hit = self._memo[key] = self._compute(sl1, sl2)
         return hit
+
+    def _pair(self, c1: LinearSet, c2: LinearSet) -> _Pair:
+        pair = self._pairs.get((c1, c2))
+        if pair is None:
+            pair = self._pairs[c1, c2] = _Pair(c1, c2)
+        return pair
 
     def _compute(self, sl1: SemiLinearSet, sl2: SemiLinearSet) -> BoolVecSet:
         if sl1.is_zero or sl2.is_zero:
@@ -118,7 +163,7 @@ class LessThanCache:
         # pairs not yet refuted for it, and a child drops pairs only up to
         # the first one it cannot refute.  A full-length pattern is decided
         # exactly, so its first kept pair is feasible.
-        stack = [((), [(c1, c2) for c1 in sl1.components
+        stack = [((), [self._pair(c1, c2) for c1 in sl1.components
                         for c2 in sl2.components])]
         while stack:
             prefix, pairs = stack.pop()
@@ -130,16 +175,24 @@ class LessThanCache:
                 i = 0
                 if child not in witnessed:
                     while i < len(pairs) and self._refuted(
-                            _pattern_system(*pairs[i], child), len(child) == d):
+                            pairs[i], child, len(child) == d):
                         i += 1
                 if i < len(pairs):
                     stack.append((child, pairs[i:]))
         return frozenset(found)
 
-    def _refuted(self, system: ilp.IlpSystem, exact: bool) -> bool:
+    def _refuted(self, pair: _Pair, prefix: BoolVec, exact: bool) -> bool:
+        """Whether the prefix's system has no integer point: decided by its
+        closure where propagation settles it, else by the solver, exactly
+        for a full-length pattern and as a pruning check otherwise."""
+        closure = pair.closure(prefix)
+        decided = closure.verdict()
+        if decided is not None:
+            return decided.status == "unsat"
+        system = pair.system(prefix)
         if exact:
-            return self.solver.feasible(system).status != "sat"
-        return self.solver.refutes(system)
+            return self.solver.feasible(system, closure=closure).status != "sat"
+        return self.solver.refutes(system, closure)
 
 
 def abs_less_than(sl1: SemiLinearSet, sl2: SemiLinearSet,

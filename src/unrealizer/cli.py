@@ -123,6 +123,9 @@ def _parse_examples(text, variables):
             name = name.strip()
             if not sep or name not in variables:
                 raise ValueError(f"bad assignment {part.strip()!r}")
+            if name in env:
+                raise ValueError(f"variable {name!r} is assigned twice in "
+                                 f"one example")
             try:
                 env[name] = int(value)
             except ValueError:
@@ -136,15 +139,31 @@ def _parse_examples(text, variables):
     return ExampleSet(tuple(variables), tuple(rows))
 
 
+def _out(text):
+    """Write text to stdout.  A reader that has closed the pipe is not an
+    error: the rest of the output is dropped."""
+    try:
+        sys.stdout.write(text)
+    except BrokenPipeError:
+        _drop_stdout()
+
+
+def _drop_stdout():
+    # fd 1 goes to devnull, so the flush at interpreter exit cannot raise
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def _emit(verdict, args):
     if args.json:
-        print(verdict.to_json())
+        _out(verdict.to_json() + "\n")
     else:
-        print(f"verdict: {verdict.verdict}")
+        _out(f"verdict: {verdict.verdict}\n")
         if verdict.witness is not None:
-            print(f"witness: {verdict.witness.to_sexpr()}")
+            _out(f"witness: {verdict.witness.to_sexpr()}\n")
         if verdict.reason:
-            print(f"reason: {verdict.reason}")
+            _out(f"reason: {verdict.reason}\n")
     if args.verbose:
         for rec in verdict.trace:
             if args.verbose > 1:
@@ -210,14 +229,14 @@ def _cmd_export_horn(args):
         with open(args.out, "wb") as fh:
             fh.write(data)
     else:
-        sys.stdout.write(data.decode())
+        _out(data.decode())
     return 0
 
 
 def _cmd_dump_equations(args):
     problem = _load(args.file)
     e = _examples_or_exit(args, problem)
-    print(gfa.build_equations(normalize(problem.grammar), e).dump())
+    _out(gfa.build_equations(normalize(problem.grammar), e).dump() + "\n")
     return 0
 
 
@@ -228,9 +247,14 @@ def main(argv=None):
                "export-horn": _cmd_export_horn,
                "dump-equations": _cmd_dump_equations}[args.command]
     try:
-        return handler(args)
+        code = handler(args)
     except GrammarError as err:
         return _grammar_error(err, args)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+    return code
 
 
 if __name__ == "__main__":

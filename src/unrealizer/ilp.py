@@ -2,20 +2,28 @@
 
 Systems are conjunctions of linear constraints with integer coefficients
 over integer variables, some restricted to be nonnegative.  Decisions are
-exact.  A presolve normalizes the rows and propagates integer bounds:
-rows on one variable become bounds, fixed variables are substituted, and
-a system whose bounds cross, or that pins every variable to one point, is
-decided there with 0 nodes (singleton-row and fixed-column reduction;
-Andersen & Andersen 1995, Savelsbergh 1994).  Every other system goes to
-branch and bound on the normalized rows, not on the reduced ones, so its
-LP path, vertex and witness are those of the full system.  The LP
-relaxations are solved with a phase-1 simplex over Python ints
-(fraction-free Bareiss pivoting, Bland's rule), and integrality is
-recovered by branch and bound.  Before the first branch, the equality rows
-are checked for an integer solution (Hermite normal form), which settles
-lattice gaps outright.  Completeness on unbounded polyhedra comes from an
-a-priori magnitude bound: if an integer solution exists at all, one exists
-inside a computable box, so every search tree is finite.
+exact.  The presolve is a `Closure`: each row is normalized
+(`presolve_row`) and integer bounds are propagated: rows on one variable
+become bounds, fixed variables are substituted, and a system whose bounds
+cross, or that pins every variable to one point, is decided there with 0
+nodes (singleton-row and fixed-column reduction; Andersen & Andersen 1995,
+Savelsbergh 1994).  A closure is extended row by row and never changed in
+place.  Propagation is monotone (bounds only tighten, fixed variables
+only accumulate), so extending a parent's closure by one row gives the
+closure the whole system would get from scratch: the prefix searches of
+`booldom` and `logic` extend their parents' closures and reach the solver
+only with the systems propagation leaves open, passing the closure along.
+
+Every other system goes to branch and bound on the normalized rows in
+the system's order, not on the reduced ones, so its LP path, vertex and
+witness are those of the full system.  The LP relaxations are solved
+with a phase-1 simplex over Python ints (fraction-free Bareiss pivoting,
+Bland's rule), and integrality is recovered by branch and bound.  Before
+the first branch, the equality rows are checked for an integer solution
+(Hermite normal form), which settles lattice gaps outright.  Completeness
+on unbounded polyhedra comes from an a-priori magnitude bound: if an
+integer solution exists at all, one exists inside a computable box, so
+every search tree is finite.
 
 Every sat answer is re-verified by substituting the witness into all
 constraints; a failed recheck raises, it is never reported as a result.
@@ -74,11 +82,13 @@ class BudgetExceeded(Exception):
     pass
 
 
-def _check_witness(sys: IlpSystem, w: dict[str, int]) -> None:
-    for name, nonneg in sys.variables:
+def _check_witness(variables, constraints, w: dict[str, int]) -> None:
+    """Raise AssertionError unless w satisfies every (name, nonneg) pair
+    of `variables` and every constraint."""
+    for name, nonneg in variables:
         if nonneg and w.get(name, 0) < 0:
             raise AssertionError(f"witness violates {name} >= 0")
-    for c in sys.constraints:
+    for c in constraints:
         lhs = sum(k * w.get(v, 0) for v, k in c.coeffs)
         ok = lhs == c.rhs if c.rel == EQ else lhs <= c.rhs if c.rel == LE else lhs < c.rhs
         if not ok:
@@ -286,95 +296,179 @@ def _lp_feasible(varnames: list[str], lower: dict[str, int | None],
     return out
 
 
-def _presolve(sys: IlpSystem) -> list[tuple[dict[str, int], str, int]] | None:
-    """Normalize constraints; None means provably unsat already.
+def presolve_row(c: Constraint) -> tuple[dict[str, int], str, int] | None:
+    """The row of one constraint, normalized; None when it alone has no
+    integer solution.
 
-    Strict inequalities become nonstrict, every row is divided by the gcd of
-    its coefficients, and an equality whose gcd does not divide its
-    right-hand side is a lattice infeasibility.
+    A strict inequality becomes nonstrict and the row is divided by the
+    gcd of its coefficients; an equality whose gcd does not divide its
+    right-hand side is a lattice infeasibility.  A row on no variable is
+    returned as it is, for propagation to check.
     """
-    out = []
-    for c in sys.constraints:
-        coeffs = dict(c.coeffs)
-        rhs = c.rhs - 1 if c.rel == LT else c.rhs
-        rel = EQ if c.rel == EQ else LE
-        if not coeffs:
-            if (rhs != 0) if rel == EQ else (rhs < 0):
-                return None
-            continue
-        g = math.gcd(*[abs(k) for k in coeffs.values()])
+    coeffs = dict(c.coeffs)
+    rhs = c.rhs - 1 if c.rel == LT else c.rhs
+    rel = EQ if c.rel == EQ else LE
+    if coeffs:
+        g = math.gcd(*coeffs.values())
         if g > 1:
             if rel == EQ:
                 if rhs % g:
                     return None
                 rhs //= g
             else:
-                rhs = rhs // g if rhs >= 0 else -((-rhs + g - 1) // g)
+                rhs //= g  # floor: an integer row rounds its bound inward
             coeffs = {v: k // g for v, k in coeffs.items()}
-        out.append((coeffs, rel, rhs))
-    return out
+    return coeffs, rel, rhs
 
 
-def _propagate(sys: IlpSystem,
-               constraints: list[tuple[dict[str, int], str, int]],
-               ) -> Feasibility | None:
-    """Decide a presolved system by exact bound propagation, if that can.
+class Closure:
+    """Exact bound propagation over a conjunction that grows row by row.
 
-    A nonneg variable starts with lower bound 0.  A row left with one
-    variable becomes a bound on it, rounded to an integer (a*x <= b gives
-    x <= floor(b/a) for a > 0, x >= ceil(b/a) for a < 0; a*x = b gives
-    both, so it fixes x, or crosses them when a does not divide b).  A
-    variable whose bounds meet is fixed and substituted into every row,
-    which may leave rows empty (checked) or with one variable (a new
-    bound); this repeats until no variable is newly fixed.  Each step is
-    an integer consequence of the rows, so crossed bounds or a violated
-    empty row mean "unsat", and when every variable ends fixed that point
-    is the only integer solution, the one branch and bound would return
-    too.  Otherwise None: propagation leaves the system open.
+    A closure holds the declared variables, their integer bounds (a
+    nonneg variable starts with lower bound 0), the variables whose
+    bounds meet (fixed), the rows still on two or more unfixed variables
+    (reduced by the fixed ones), and every row it has taken in, in order,
+    with its presolved form.  A row left with one variable becomes a
+    bound on it, rounded to an integer (a*x <= b gives x <= floor(b/a)
+    for a > 0, x >= ceil(b/a) for a < 0; a*x = b gives both, so it fixes
+    x, or crosses them when a does not divide b).  A fixed variable is
+    substituted into every row, which may leave rows empty (checked) or
+    with one variable (a new bound); this repeats until no variable is
+    newly fixed (singleton-row and fixed-column reduction; Andersen &
+    Andersen 1995, Savelsbergh 1994).  Each step is an integer
+    consequence of the rows, so crossed bounds or a violated row mean
+    "unsat", and when every variable ends fixed that point is the only
+    integer solution, the one branch and bound would return too.
+
+    `add` returns a new closure and leaves its parent as it was.  Bounds
+    only tighten and fixed variables only accumulate, so the closure of a
+    parent's rows plus one more row equals the closure of all of them
+    taken in at once, in any order: a search that extends a prefix by one
+    row reuses the prefix's work and decides exactly what a from-scratch
+    presolve of the whole system decides (Dutertre & de Moura, CAV 2006,
+    keep such state for the simplex; here it is the presolve's).
     """
-    lower: dict[str, int | None] = {v: (0 if nonneg else None)
-                                    for v, nonneg in sys.variables}
-    upper: dict[str, int | None] = dict.fromkeys(lower)
-    fixed: dict[str, int] = {}
-    unsat = Feasibility("unsat", None, 0)
-    rows = constraints
-    while True:
-        nfixed = len(fixed)
-        left = []
-        for coeffs, rel, rhs in rows:
-            if not fixed.keys().isdisjoint(coeffs):
-                rhs -= sum(k * fixed[v] for v, k in coeffs.items()
-                           if v in fixed)
-                coeffs = {v: k for v, k in coeffs.items() if v not in fixed}
-            if len(coeffs) > 1:
-                left.append((coeffs, rel, rhs))
-                continue
-            if not coeffs:
-                if (rhs != 0) if rel == EQ else (rhs < 0):
-                    return unsat
-                continue
-            # an equality gets both bounds; they cross if a does not divide rhs
-            ((v, a),) = coeffs.items()
-            if rel == EQ or a > 0:
-                b = rhs // a
-                upper[v] = b if upper[v] is None else min(upper[v], b)
-            if rel == EQ or a < 0:
-                b = -(rhs // -a)
-                lower[v] = b if lower[v] is None else max(lower[v], b)
-            lo, hi = lower[v], upper[v]
-            if lo is not None and hi is not None:
-                if lo > hi:
-                    return unsat
-                if lo == hi:
-                    fixed[v] = lo
-        rows = left
-        if len(fixed) == nfixed:
-            break
-    if len(fixed) < len(lower):
-        return None
-    w = {v: fixed[v] for v in lower}
-    _check_witness(sys, w)
-    return Feasibility("sat", w, 0)
+
+    __slots__ = ("variables", "lower", "upper", "fixed", "pending", "rows",
+                 "unsat")
+
+    def __init__(self):
+        self.variables: dict[str, bool] = {}  # declared: name -> nonneg
+        self.lower: dict[str, int | None] = {}
+        self.upper: dict[str, int | None] = {}
+        self.fixed: dict[str, int] = {}
+        self.pending: tuple = ()  # reduced rows on two or more variables
+        self.rows: tuple = ()     # (Constraint, presolve_row of it) taken in
+        self.unsat = False
+
+    def add(self, constraints=(), variables=()) -> Closure:
+        """This closure with `variables` ((name, nonneg) pairs) declared
+        and `constraints` taken in.  Declaring a name again as nonneg
+        makes it nonneg; declaring it free keeps what it was.  A row on an
+        undeclared variable raises ValueError."""
+        if self.unsat:
+            return self
+        new = Closure.__new__(Closure)
+        new.unsat, new.pending, new.rows = False, self.pending, self.rows
+        new.variables = declared = dict(self.variables)
+        new.lower = lower = dict(self.lower)
+        new.upper = upper = dict(self.upper)
+        new.fixed = fixed = dict(self.fixed)
+        seen = len(fixed)
+        for v, nonneg in variables:
+            if v not in declared:
+                declared[v] = nonneg
+                lower[v] = 0 if nonneg else None
+                upper[v] = None
+            elif nonneg and not declared[v]:
+                declared[v] = True
+                if not new._bound(v, 0, None):
+                    return new
+        taken = list(self.rows)
+        scan = []
+        for c in constraints:
+            for v, _ in c.coeffs:
+                if v not in declared:
+                    raise ValueError(
+                        f"constraint mentions undeclared variable {v!r}")
+            row = presolve_row(c)
+            taken.append((c, row))
+            if row is None:
+                new.unsat = True
+                return new
+            scan.append(row)
+        new.rows = tuple(taken)
+        left = list(self.pending)
+        while True:
+            for coeffs, rel, rhs in scan:
+                if not fixed.keys().isdisjoint(coeffs):
+                    rhs -= sum(k * fixed[v] for v, k in coeffs.items()
+                               if v in fixed)
+                    coeffs = {v: k for v, k in coeffs.items()
+                              if v not in fixed}
+                if len(coeffs) > 1:
+                    left.append((coeffs, rel, rhs))
+                    continue
+                if not coeffs:
+                    if (rhs != 0) if rel == EQ else (rhs < 0):
+                        new.unsat = True
+                        return new
+                    continue
+                # an equality gets both bounds; they cross if a does not
+                # divide rhs
+                ((v, a),) = coeffs.items()
+                lo = -(rhs // -a) if rel == EQ or a < 0 else None
+                hi = rhs // a if rel == EQ or a > 0 else None
+                if not new._bound(v, lo, hi):
+                    return new
+            if len(fixed) == seen:
+                break
+            # a newly fixed variable may reduce rows taken in earlier
+            seen = len(fixed)
+            scan, left = left, []
+        new.pending = tuple(left)
+        return new
+
+    def _bound(self, v: str, lo: int | None, hi: int | None) -> bool:
+        """Tighten v's bounds; fix v where they meet.  False (and the
+        closure marked unsat) where they cross."""
+        if lo is not None and (self.lower[v] is None or lo > self.lower[v]):
+            self.lower[v] = lo
+        if hi is not None and (self.upper[v] is None or hi < self.upper[v]):
+            self.upper[v] = hi
+        lo, hi = self.lower[v], self.upper[v]
+        if lo is not None and hi is not None:
+            if lo > hi:
+                self.unsat = True
+                return False
+            if lo == hi:
+                self.fixed[v] = lo
+        return True
+
+    def verdict(self, order=None) -> Feasibility | None:
+        """What propagation decides: "unsat", "sat" with the one point
+        left (rechecked against the rows taken in, and keyed in `order`,
+        by default sorted by name as `system` orders variables), or None
+        when the rows are left open."""
+        if self.unsat:
+            return Feasibility("unsat", None, 0)
+        if len(self.fixed) < len(self.variables):
+            return None
+        names = sorted(self.variables) if order is None else order
+        w = {v: self.fixed[v] for v in names}
+        _check_witness(self.variables.items(), [c for c, _ in self.rows], w)
+        return Feasibility("sat", w, 0)
+
+    def rows_of(self, sys: IlpSystem) -> list[tuple[dict[str, int], str, int]]:
+        """The presolved rows of sys's constraints, in sys's order, with
+        the rows on no variable left out.  Raises ValueError unless this
+        closure took in exactly sys's variables and constraints."""
+        presolved = dict(self.rows)
+        if (dict(sys.variables) != self.variables
+                or presolved.keys() != set(sys.constraints)):
+            raise ValueError("closure does not match the system")
+        rows = [presolved[c] for c in sys.constraints]
+        return [r for r in rows if r[0]]
 
 
 def _equalities_integral(varnames: list[str],
@@ -412,28 +506,30 @@ def _equalities_integral(varnames: list[str],
     return True
 
 
-def feasible(sys: IlpSystem, node_budget: int = 10 ** 6) -> Feasibility:
+def feasible(sys: IlpSystem, node_budget: int = 10 ** 6,
+             closure: Closure | None = None) -> Feasibility:
     """Exact integer feasibility: presolve, then branch and bound on the LP
     relaxation.
 
-    Presolve (`_presolve`, then `_propagate`) settles a system outright
-    when it refutes the rows or fixes every variable to one integer
-    point; such an answer reports 0 nodes.  Every other system
-    goes to branch and bound on the presolved rows, not on the ones
-    propagation reduced, so the relaxation, its vertices and hence the
-    witness are those of the full system.  Branch bounds may descend
-    without the LP ever going infeasible (no integer point but rational
-    ones everywhere); the a-priori magnitude bound caps that descent, so
-    the answer "unsat" is exact.  "unknown" only appears when the node
-    budget runs out first.
+    Presolve is the system's `Closure`: it settles a system outright when
+    it refutes the rows or fixes every variable to one integer point;
+    such an answer reports 0 nodes.  A caller that already holds the
+    closure of sys's rows (extended row by row) passes it, and it is not
+    built again.  Every other system goes to branch and bound on the
+    presolved rows in sys's order, not on the ones propagation reduced,
+    so the relaxation, its vertices and hence the witness are those of
+    the full system.  Branch bounds may descend without the LP ever going
+    infeasible (no integer point but rational ones everywhere); the
+    a-priori magnitude bound caps that descent, so the answer "unsat" is
+    exact.  "unknown" only appears when the node budget runs out first.
     """
     varnames = [v for v, _ in sys.variables]
-    constraints = _presolve(sys)
-    if constraints is None:
-        return Feasibility("unsat", None, 0)
-    decided = _propagate(sys, constraints)
+    if closure is None:
+        closure = Closure().add(sys.constraints, sys.variables)
+    decided = closure.verdict(varnames)
     if decided is not None:
         return decided
+    constraints = closure.rows_of(sys)
 
     bound = _magnitude_bound(sys)
     lower0: dict[str, int | None] = {v: (0 if nonneg else None)
@@ -466,7 +562,7 @@ def feasible(sys: IlpSystem, node_budget: int = 10 ** 6) -> Feasibility:
                 break
         if frac_var is None:
             w = {v: int(point[v]) for v in varnames}
-            _check_witness(sys, w)
+            _check_witness(sys.variables, sys.constraints, w)
             return Feasibility("sat", w, nodes)
         if nodes == 1 and not _equalities_integral(varnames, constraints):
             return Feasibility("unsat", None, nodes)
@@ -493,25 +589,27 @@ class Solver:
         self.export_dir = export_dir
         self.queries = 0
 
-    def feasible(self, sys: IlpSystem, node_budget: int | None = None) -> Feasibility:
+    def feasible(self, sys: IlpSystem, node_budget: int | None = None,
+                 closure: Closure | None = None) -> Feasibility:
         """Decide sys within node_budget nodes (default: the solver's own);
-        an exhausted budget raises BudgetExceeded."""
+        an exhausted budget raises BudgetExceeded.  `closure`, when given,
+        is the closure of sys's rows (see `feasible`)."""
         budget = self.node_budget if node_budget is None else node_budget
         self.queries += 1
         if self.export_dir is not None:
             self._export(sys)
-        res = feasible(sys, budget)
+        res = feasible(sys, budget, closure)
         if res.status == "unknown":
             raise BudgetExceeded(f"ILP node budget {budget} exhausted")
         return res
 
-    def refutes(self, sys: IlpSystem) -> bool:
+    def refutes(self, sys: IlpSystem, closure: Closure | None = None) -> bool:
         """True iff sys is shown to have no integer solution within
         PRUNE_NODES nodes.  False decides nothing: a search that prunes on
         this answer still decides every leaf with the full budget."""
         try:
             budget = min(PRUNE_NODES, self.node_budget)
-            return self.feasible(sys, budget).status == "unsat"
+            return self.feasible(sys, budget, closure).status == "unsat"
         except BudgetExceeded:
             return False
 

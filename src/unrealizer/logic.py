@@ -5,9 +5,12 @@ declared inputs plus the function-output slot) and concretizations of
 abstract values (atoms over output coordinates ``o1..od`` with
 existentially quantified multiplier variables).  Deciding a formula
 walks its disjunctive normal form depth first, splitting one disjunction
-at a time.  A partial conjunction the integer solver refutes before a
-split is dropped with all of its branches, and each branch left is
-decided by the exact integer solver in turn.
+at a time.  A partial conjunction refuted before a split is dropped with
+all of its branches, and each branch left is decided exactly in turn.
+Each partial conjunction and branch carries an `ilp.Closure` (exact
+bound propagation) extended from its parent's by the atoms it added;
+propagation is monotone, so that is the closure of its whole system.
+Only the systems the closure leaves open go to the integer solver.
 """
 
 import itertools
@@ -260,7 +263,7 @@ class Branch:
 
 def dnf_branches(f):
     """DNF of a formula; bound variables are freshened to q1, q2, ..."""
-    return list(_branches(f))
+    return [b for b, _ in _branches(f)]
 
 
 def _freshen(g, renaming, fresh):
@@ -287,18 +290,27 @@ def _freshen(g, renaming, fresh):
 
 
 def _branches(f, solver=None, rows=None):
-    """Yield the DNF branches of f in order, splitting disjunctions lazily.
+    """Yield the DNF branches of f in order, splitting disjunctions lazily,
+    each with its closure (None without a solver).
 
-    Each pending entry holds a cons list of subformulas still to conjoin
-    and the branch built so far.  With a solver, the partial conjunction
-    is checked at a disjunction whenever it gained atoms since its last
-    check, and one the solver refutes is dropped with every branch
-    extending it.  `rows` is passed on to `branch_system`.
+    Each pending entry holds a cons list of subformulas still to conjoin,
+    the branch built so far, and with a solver the `ilp.Closure` of the
+    atoms taken in so far.  The partial conjunction is checked at a
+    disjunction whenever it gained atoms since its last check: its
+    closure is extended by the new atoms' rows (the closure of a parent
+    plus rows is the closure of the whole conjunction, so nothing is
+    propagated twice), and one the closure or the solver refutes is
+    dropped with every branch extending it.  A yielded branch's closure
+    holds all of its atoms and variables.  `rows` maps an atom to its row
+    and variables, as in `branch_system`.
     """
+    if rows is None:
+        rows = {}
+    closure = ilp.Closure() if solver is not None else None
     stack = [((_freshen(nnf(f), {}, itertools.count(1)), None),
-              (), frozenset(), frozenset(), 0)]
+              (), frozenset(), frozenset(), closure, 0)]
     while stack:
-        todo, atoms, nonneg, free_bound, checked = stack.pop()
+        todo, atoms, nonneg, free_bound, closure, taken = stack.pop()
         while todo is not None:
             g, todo = todo
             if g.op == "atom":
@@ -313,21 +325,59 @@ def _branches(f, solver=None, rows=None):
                     free_bound = free_bound.union(g.bound)
                 todo = (g.args[0], todo)
             elif g.op == "or":
-                if solver is not None and len(atoms) > checked:
-                    if solver.refutes(branch_system(
-                            Branch(atoms, nonneg, free_bound), rows)):
+                if closure is not None and len(atoms) > taken:
+                    closure = _extend(closure, atoms[taken:], nonneg,
+                                      free_bound, rows)
+                    taken = len(atoms)
+                    decided = closure.verdict()
+                    if decided is None:
+                        refuted = solver.refutes(branch_system(
+                            Branch(atoms, nonneg, free_bound), rows), closure)
+                    else:
+                        refuted = decided.status == "unsat"
+                    if refuted:
                         break
-                    checked = len(atoms)
                 for h in reversed(g.args):
                     stack.append(((h, todo), atoms, nonneg, free_bound,
-                                  checked))
+                                  closure, taken))
                 break
             elif g.op == "false":
                 break
             elif g.op != "true":
                 raise ValueError(g.op)
         else:
-            yield Branch(atoms, nonneg, free_bound)
+            if closure is not None:
+                closure = _extend(closure, atoms[taken:], nonneg, free_bound,
+                                  rows)
+            yield Branch(atoms, nonneg, free_bound), closure
+
+
+def _atom_row(a, rows):
+    """The row of atom a and the variables of both its sides, from `rows`
+    or built there."""
+    row = rows.get(a)
+    if row is None:
+        lhs, rel, rhs = a
+        coeffs = dict(lhs.coeffs)  # lhs - rhs <rel> 0
+        for v, k in rhs.coeffs:
+            coeffs[v] = coeffs.get(v, 0) - k
+        row = rows[a] = (ilp.constraint(coeffs, rel, rhs.const - lhs.const),
+                         lhs.variables() | rhs.variables())
+    return row
+
+
+def _extend(closure, atoms, nonneg, free_bound, rows):
+    """`closure` with a branch's bound variables (nonneg where the branch
+    says so) and the variables of `atoms` declared, and their rows taken
+    in.  Atom variables not bound nonneg are free."""
+    variables = [(v, True) for v in nonneg]
+    variables += [(v, False) for v in free_bound]
+    cons = []
+    for a in atoms:
+        c, names = _atom_row(a, rows)
+        cons.append(c)
+        variables += [(v, False) for v in names]
+    return closure.add(cons, variables)
 
 
 def branch_system(b, rows=None):
@@ -345,15 +395,9 @@ def branch_system(b, rows=None):
     varnames = set(b.nonneg) | set(b.free_bound)
     cons = []
     for a in b.atoms:
-        row = rows.get(a)
-        if row is None:
-            lhs, rel, rhs = a
-            diff = lin_sub(lhs, rhs)
-            row = rows[a] = (
-                ilp.constraint(dict(diff.coeffs), rel, -diff.const),
-                lhs.variables() | rhs.variables())
-        cons.append(row[0])
-        varnames |= row[1]
+        c, names = _atom_row(a, rows)
+        cons.append(c)
+        varnames |= names
     variables = {v: v in b.nonneg for v in sorted(varnames)}
     return ilp.system(variables, cons)
 
@@ -363,11 +407,15 @@ def decide(f, solver):
 
     The witness is that of the first sat branch in `dnf_branches` order.
     Each atom's row is built once per call and shared by the partial
-    conjunctions and the branches that contain it.
+    conjunctions and the branches that contain it.  A branch is decided
+    by its closure where propagation settles it, and by the solver (on
+    the full system, with the closure passed along) where it stays open.
     """
     rows = {}
-    for b in _branches(f, solver, rows):
-        res = solver.feasible(branch_system(b, rows))
+    for b, closure in _branches(f, solver, rows):
+        res = closure.verdict()
+        if res is None:
+            res = solver.feasible(branch_system(b, rows), closure=closure)
         if res.status == "sat":
             return "sat", dict(res.witness)
     return "unsat", None

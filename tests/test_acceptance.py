@@ -426,3 +426,19 @@ def test_14_disjunctive_max_realizable_and_checks_scale_linearly():
         res = check_unrealizable(p.grammar, p.spec, _examples(p, rows), solver)
         assert res.verdict == verdict, name
         assert solver.queries <= bound, (name, solver.queries)
+
+
+def test_closures_keep_prefix_checks_off_the_solver_at_ten_examples():
+    # test_14's checks at d = 10: the LessThan prefixes and the DNF partial
+    # conjunctions that bound propagation decides never reach the solver
+    rng = random.Random(10)
+    cases = (
+        ("g2.sy", [(x,) for x in rng.sample(range(-20, 21), 10)], 20),
+        ("max2.sy", [(rng.randint(-20, 20), rng.randint(-20, 20))
+                     for _ in range(10)], 5),
+    )
+    for name, rows, bound in cases:
+        p = _problem(name)
+        solver = Solver()
+        check_unrealizable(p.grammar, p.spec, _examples(p, rows), solver)
+        assert solver.queries <= bound, (name, solver.queries)

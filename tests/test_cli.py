@@ -349,3 +349,38 @@ def test_nonsensical_numeric_options_are_usage_errors(flag, value):
     assert len(errors) == 1
     assert flag in errors[0]
     assert "Traceback" not in out.stderr
+
+
+def test_repeated_variable_in_one_example_is_usage_error():
+    out = _run_child("check-examples", str(PROBLEMS / "g1.sy"),
+                     "--examples", "x=1,x=2", "--json")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ")
+    assert len(out.stderr.splitlines()) == 1
+    assert "'x'" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("check", str(PROBLEMS / "gconst.sy"), "--seed", "0", "--json"), 20),
+    (("check-examples", str(PROBLEMS / "g1.sy"), "--examples", "x=1",
+      "--json"), 0),
+    (("check-examples", str(PROBLEMS / "max2.sy"), "--examples",
+      "x=1,y=2;x=4,y=3"), 10),
+    (("dump-equations", str(PROBLEMS / "g1.sy"), "--examples", "x=1"), 0),
+    (("export-horn", str(PROBLEMS / "g1.sy"), "--examples", "x=1"), 0),
+])
+def test_closed_stdout_keeps_the_exit_code(argv, code):
+    # stdout is a pipe whose reader has already gone away
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = subprocess.run([sys.executable, "-m", "unrealizer", *argv],
+                             stdout=write, stderr=subprocess.PIPE, text=True,
+                             timeout=120, env=_child_env())
+    finally:
+        os.close(write)
+    assert out.returncode == code
+    assert "Traceback" not in out.stderr
+    assert out.stderr == ""

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -425,3 +426,195 @@ def test_system_propagation_leaves_open_goes_to_branch_and_bound():
     assert res.status == "sat"
     assert res.nodes >= 1
     assert res.witness["x"] + res.witness["y"] == 2
+
+
+def reference_propagation(variables, constraints):
+    """The one-shot presolve and bound propagation, written out on its own
+    as the oracle for `Closure`: (unsat, fixed, lower, upper) after every
+    row is normalized and propagation has run to its fixpoint."""
+    lower = {v: (0 if nonneg else None) for v, nonneg in variables.items()}
+    upper = dict.fromkeys(lower)
+    fixed = {}
+    rows = []
+    for c in constraints:
+        coeffs = dict(c.coeffs)
+        rhs = c.rhs - 1 if c.rel == "<" else c.rhs
+        rel = "=" if c.rel == "=" else "<="
+        if coeffs:
+            g = 0
+            for k in coeffs.values():
+                g = math.gcd(g, k)
+            if rel == "=" and rhs % g:
+                return True, None, None, None
+            rhs = rhs // g
+            coeffs = {v: k // g for v, k in coeffs.items()}
+        rows.append((coeffs, rel, rhs))
+    while True:
+        nfixed = len(fixed)
+        left = []
+        for coeffs, rel, rhs in rows:
+            rhs -= sum(k * fixed[v] for v, k in coeffs.items() if v in fixed)
+            coeffs = {v: k for v, k in coeffs.items() if v not in fixed}
+            if len(coeffs) > 1:
+                left.append((coeffs, rel, rhs))
+            elif not coeffs:
+                if (rhs != 0) if rel == "=" else (rhs < 0):
+                    return True, None, None, None
+            else:
+                ((v, a),) = coeffs.items()
+                if rel == "=" or a > 0:
+                    b = math.floor(Fraction(rhs, a))
+                    upper[v] = b if upper[v] is None else min(upper[v], b)
+                if rel == "=" or a < 0:
+                    b = math.ceil(Fraction(rhs, a))
+                    lower[v] = b if lower[v] is None else max(lower[v], b)
+                if lower[v] is not None and upper[v] is not None:
+                    if lower[v] > upper[v]:
+                        return True, None, None, None
+                    if lower[v] == upper[v]:
+                        fixed[v] = lower[v]
+        rows = left
+        if len(fixed) == nfixed:
+            return False, fixed, lower, upper
+
+
+def closure_rows(rng):
+    """Declared variables and random rows on 1-4 of them: `=` and `<=`
+    with small coefficients, many on one or two variables so that
+    propagation fixes some, and some equalities whose gcd does not divide
+    the right-hand side."""
+    names = [f"x{i}" for i in range(rng.randint(1, 5))]
+    variables = {v: rng.random() < 0.5 for v in names}
+    p = {v: rng.randint(0 if variables[v] else -4, 4) for v in names}
+    rows = []
+    for _ in range(rng.randint(1, 8)):
+        k = min(len(names), rng.choice((1, 1, 2, 2, 3, 4)))
+        coeffs = {v: rng.choice((-3, -2, -1, 1, 2, 3))
+                  for v in rng.sample(names, k)}
+        rel = rng.choice(("=", "=", "<="))
+        # most rows hold at the point p, some are off it by a little
+        rhs = sum(c * p[v] for v, c in coeffs.items())
+        if rng.random() < 0.1:
+            rhs -= rng.randint(1, 3)
+        elif rel == "<=":
+            rhs += rng.randint(0, 2)
+        if rel == "=" and rng.random() < 0.1:
+            g = rng.choice((2, 3))
+            coeffs = {v: g * c for v, c in coeffs.items()}
+            rhs = g * rhs + 1
+        rows.append(ilp.constraint(coeffs, rel, rhs))
+    return variables, rows
+
+
+def closure_state(cl):
+    return (cl.unsat, dict(cl.fixed), dict(cl.lower), dict(cl.upper),
+            list(cl.pending), list(cl.rows), dict(cl.variables))
+
+
+def test_closure_extended_row_by_row_matches_one_shot_propagation():
+    rng = random.Random(2006)
+    outcomes = {"unsat": 0, "sat": 0, "open": 0}
+    for _ in range(600):
+        variables, rows = closure_rows(rng)
+        shuffled = rng.sample(rows, len(rows))
+        root = ilp.Closure().add((), variables.items())
+        chains = []
+        for order in (rows, rows[::-1], shuffled):
+            chain = [root]
+            for c in order:
+                chain.append(chain[-1].add((c,)))
+            chains.append(chain)
+        batch = root.add(rows)
+        # every closure along a chain is left as it was built
+        states = [[closure_state(cl) for cl in chain] for chain in chains]
+        for order, chain in zip((rows, rows[::-1], shuffled), chains):
+            for k, cl in enumerate(chain):
+                unsat, fixed, lower, upper = reference_propagation(
+                    variables, order[:k])
+                assert cl.unsat == unsat, (variables, order[:k])
+                if not unsat:
+                    assert (cl.fixed, cl.lower, cl.upper) == \
+                        (fixed, lower, upper), (variables, order[:k])
+        assert states == [[closure_state(cl) for cl in chain]
+                          for chain in chains]
+        unsat, fixed, lower, upper = reference_propagation(variables, rows)
+        for cl in [batch] + [chain[-1] for chain in chains]:
+            assert cl.unsat == unsat
+            if not unsat:
+                assert (cl.fixed, cl.lower, cl.upper) == (fixed, lower, upper)
+        # the verdict is what the one-shot presolve decided
+        got = batch.verdict()
+        if unsat:
+            assert got == ilp.Feasibility("unsat", None, 0)
+            outcomes["unsat"] += 1
+        elif len(fixed) == len(variables):
+            assert got == ilp.Feasibility(
+                "sat", {v: fixed[v] for v in sorted(variables)}, 0)
+            assert list(got.witness) == sorted(variables)
+            outcomes["sat"] += 1
+        else:
+            assert got is None
+            outcomes["open"] += 1
+        for chain in chains:
+            assert chain[-1].verdict() == got
+    assert min(outcomes.values()) >= 80, outcomes
+
+
+def test_closure_declares_variables_as_they_appear():
+    cl = ilp.Closure().add((), [("x", False)])
+    with pytest.raises(ValueError):
+        cl.add([ilp.constraint({"y": 1}, "<=", 2)])
+    # y <= 0 leaves y open while it is free; declared nonneg, y is 0
+    cl = cl.add([ilp.constraint({"y": 1}, "<=", 0),
+                 ilp.constraint({"x": 1}, "=", 4)], [("y", False)])
+    assert cl.verdict() is None
+    both = cl.add((), [("y", True)])
+    assert both.verdict() == ilp.Feasibility("sat", {"x": 4, "y": 0}, 0)
+    assert cl.add((), [("y", False)]).verdict() is None
+    # a nonneg variable declared again as free stays nonneg
+    neg = ilp.Closure().add([], [("z", True)]).add(
+        [ilp.constraint({"z": 1}, "<=", -1)], [("z", False)])
+    assert neg.unsat
+
+
+def test_closure_passed_to_branch_and_bound_keeps_system_row_order():
+    # branch and bound runs on the system's rows in the system's order,
+    # whatever order the closure took them in, so its vertex and witness
+    # are those of the system
+    rng = random.Random(5)
+    differs = 0
+    checked = 0
+    for _ in range(80):
+        names = ["x", "y", "z"]
+        rows = [ilp.constraint({v: rng.randint(-3, 3) for v in names},
+                               rng.choice(("<=", "<", "=")),
+                               rng.randint(-6, 6))
+                for _ in range(rng.randint(2, 3))]
+        variables = {v: True for v in names}
+        sys = ilp.system(variables, rows)
+        try:
+            want = ilp.feasible(sys, 2000)
+            reversed_sys = ilp.feasible(ilp.system(variables, rows[::-1]),
+                                        2000)
+        except ilp.BudgetExceeded:
+            continue
+        cl = ilp.Closure().add(rows[::-1], variables.items())
+        if cl.verdict() is not None:
+            continue
+        checked += 1
+        assert ilp.feasible(sys, 2000, cl) == want, rows
+        differs += reversed_sys != want
+    assert checked >= 40 and differs >= 5, (checked, differs)
+
+
+def test_closure_of_another_system_is_refused():
+    rows = [ilp.constraint({"x": 1, "y": 1}, "<=", 4)]
+    cl = ilp.Closure().add(rows, [("x", True), ("y", True)])
+    other = ilp.system({"x": True, "y": True},
+                       rows + [ilp.constraint({"x": 1, "y": -1}, "<=", 1)])
+    with pytest.raises(ValueError):
+        ilp.feasible(other, closure=cl)
+    with pytest.raises(ValueError):
+        ilp.feasible(ilp.system({"x": True, "y": False}, rows), closure=cl)
+    assert ilp.feasible(ilp.system({"x": True, "y": True}, rows),
+                        closure=cl).status == "sat"

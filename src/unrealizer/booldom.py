@@ -11,9 +11,10 @@ of its extensions at once, and each full-length pattern left is decided
 by exact integer feasibility.  A prefix one sign longer adds one row to
 its parent's system, so its `ilp.Closure` (exact bound propagation) is
 its parent's extended by that row, which is the closure of the whole
-prefix system since propagation is monotone.  The closure decides the
-prefix when propagation refutes it or pins every multiplier; only the
-prefixes it leaves open go to the solver, with the closure passed on.
+prefix system since propagation is monotone.  Each prefix goes to the
+solver with its closure, which answers from the closure when propagation
+refutes the prefix or pins every multiplier, and sends only the prefixes
+it leaves open to branch and bound.
 """
 
 from __future__ import annotations
@@ -74,11 +75,11 @@ class _Pair:
     o1_i - o2_i as a sum of multipliers plus a constant.
     """
 
-    __slots__ = ("variables", "rows", "closures")
+    __slots__ = ("rows", "closures")
 
     def __init__(self, c1: LinearSet, c2: LinearSet):
-        self.variables = {f"a{j}": True for j in range(len(c1.gens))}
-        self.variables.update({f"b{j}": True for j in range(len(c2.gens))})
+        variables = [(f"a{j}", True) for j in range(len(c1.gens))]
+        variables += [(f"b{j}", True) for j in range(len(c2.gens))]
         self.rows: list[tuple[ilp.Constraint, ilp.Constraint]] = []
         for i in range(len(c1.base)):
             coeffs = {f"a{j}": g[i] for j, g in enumerate(c1.gens)}
@@ -89,35 +90,20 @@ class _Pair:
                 ilp.constraint({v: -k for v, k in coeffs.items()}, ilp.LE,
                                const),
                 ilp.constraint(coeffs, ilp.LT, -const)))
-        self.closures: dict[BoolVec, ilp.Closure] = {}
-
-    def system(self, pattern: BoolVec) -> ilp.IlpSystem:
-        """The rows of the pattern's coordinates; a pattern shorter than
-        the dimension constrains only its own prefix."""
-        return ilp.system(self.variables,
-                          [self.rows[i][want] for i, want in enumerate(pattern)])
+        self.closures: dict[BoolVec, ilp.Closure] = {
+            (): ilp.Closure().add((), variables)}
 
     def closure(self, prefix: BoolVec) -> ilp.Closure:
-        """The closure of the prefix's rows: its parent's, extended by the
-        last coordinate's row, memoised."""
-        cl = self.closures.get(prefix)
-        if cl is None:
-            if prefix:
-                cl = self.closure(prefix[:-1]).add(
-                    (self.rows[len(prefix) - 1][prefix[-1]],))
-            else:
-                cl = ilp.Closure().add((), self.variables.items())
-            self.closures[prefix] = cl
+        """The closure of the prefix's rows, memoised: the longest
+        memoised prefix of it, extended one coordinate's row at a time."""
+        k = len(prefix)
+        while prefix[:k] not in self.closures:
+            k -= 1
+        cl = self.closures[prefix[:k]]
+        for i in range(k, len(prefix)):
+            cl = cl.add((self.rows[i][prefix[i]],))
+            self.closures[prefix[:i + 1]] = cl
         return cl
-
-
-def _pattern_system(c1: LinearSet, c2: LinearSet, pattern: BoolVec) -> ilp.IlpSystem:
-    """Feasibility of: o1 in c1, o2 in c2, (o1 < o2) == pattern coordinatewise.
-
-    A pattern shorter than the dimension constrains only its own prefix of
-    coordinates.
-    """
-    return _Pair(c1, c2).system(pattern)
 
 
 class LessThanCache:
@@ -182,17 +168,14 @@ class LessThanCache:
         return frozenset(found)
 
     def _refuted(self, pair: _Pair, prefix: BoolVec, exact: bool) -> bool:
-        """Whether the prefix's system has no integer point: decided by its
-        closure where propagation settles it, else by the solver, exactly
-        for a full-length pattern and as a pruning check otherwise."""
+        """Whether the prefix's system has no integer point: exactly for a
+        full-length pattern, as a pruning check otherwise.  The solver
+        answers from the prefix's closure where propagation settles it."""
         closure = pair.closure(prefix)
-        decided = closure.verdict()
-        if decided is not None:
-            return decided.status == "unsat"
-        system = pair.system(prefix)
         if exact:
-            return self.solver.feasible(system, closure=closure).status != "sat"
-        return self.solver.refutes(system, closure)
+            return self.solver.feasible(closure.system(),
+                                        closure=closure).status != "sat"
+        return self.solver.refutes(closure.system(), closure)
 
 
 def abs_less_than(sl1: SemiLinearSet, sl2: SemiLinearSet,

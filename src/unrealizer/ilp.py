@@ -11,8 +11,10 @@ Savelsbergh 1994).  A closure is extended row by row and never changed in
 place.  Propagation is monotone (bounds only tighten, fixed variables
 only accumulate), so extending a parent's closure by one row gives the
 closure the whole system would get from scratch: the prefix searches of
-`booldom` and `logic` extend their parents' closures and reach the solver
-only with the systems propagation leaves open, passing the closure along.
+`booldom` and `logic` extend their parents' closures and hand each one
+to `Solver.feasible` with its system.  The solver answers from the
+closure where propagation decides, and only the systems it leaves open
+are counted, exported and searched.
 
 Every other system goes to branch and bound on the normalized rows in
 the system's order, not on the reduced ones, so its LP path, vertex and
@@ -350,7 +352,7 @@ class Closure:
     """
 
     __slots__ = ("variables", "lower", "upper", "fixed", "pending", "rows",
-                 "unsat")
+                 "unsat", "checked")
 
     def __init__(self):
         self.variables: dict[str, bool] = {}  # declared: name -> nonneg
@@ -360,21 +362,23 @@ class Closure:
         self.pending: tuple = ()  # reduced rows on two or more variables
         self.rows: tuple = ()     # (Constraint, presolve_row of it) taken in
         self.unsat = False
+        self.checked = 0  # leading rows that `verdict` rechecked
 
     def add(self, constraints=(), variables=()) -> Closure:
         """This closure with `variables` ((name, nonneg) pairs) declared
         and `constraints` taken in.  Declaring a name again as nonneg
         makes it nonneg; declaring it free keeps what it was.  A row on an
-        undeclared variable raises ValueError."""
-        if self.unsat:
-            return self
+        undeclared variable raises ValueError.  An unsat closure still
+        takes in what it is given, so that `system` stays whole."""
         new = Closure.__new__(Closure)
-        new.unsat, new.pending, new.rows = False, self.pending, self.rows
+        new.unsat, new.pending = self.unsat, self.pending
+        new.checked = self.checked
         new.variables = declared = dict(self.variables)
         new.lower = lower = dict(self.lower)
         new.upper = upper = dict(self.upper)
         new.fixed = fixed = dict(self.fixed)
         seen = len(fixed)
+        now_nonneg = []
         for v, nonneg in variables:
             if v not in declared:
                 declared[v] = nonneg
@@ -382,8 +386,7 @@ class Closure:
                 upper[v] = None
             elif nonneg and not declared[v]:
                 declared[v] = True
-                if not new._bound(v, 0, None):
-                    return new
+                now_nonneg.append(v)
         taken = list(self.rows)
         scan = []
         for c in constraints:
@@ -395,9 +398,13 @@ class Closure:
             taken.append((c, row))
             if row is None:
                 new.unsat = True
-                return new
             scan.append(row)
         new.rows = tuple(taken)
+        if new.unsat:
+            return new
+        for v in now_nonneg:
+            if not new._bound(v, 0, None):
+                return new
         left = list(self.pending)
         while True:
             for coeffs, rel, rhs in scan:
@@ -449,15 +456,30 @@ class Closure:
         """What propagation decides: "unsat", "sat" with the one point
         left (rechecked against the rows taken in, and keyed in `order`,
         by default sorted by name as `system` orders variables), or None
-        when the rows are left open."""
+        when the rows are left open.
+
+        A fixed value never changes (a tighter bound on it would cross),
+        and a row mentions only variables declared before it, so a row
+        that held at an ancestor's point holds here too: the recheck
+        covers the rows taken in since the last one, which keeps it
+        linear along a prefix chain."""
         if self.unsat:
             return Feasibility("unsat", None, 0)
         if len(self.fixed) < len(self.variables):
             return None
         names = sorted(self.variables) if order is None else order
         w = {v: self.fixed[v] for v in names}
-        _check_witness(self.variables.items(), [c for c, _ in self.rows], w)
+        _check_witness(self.variables.items(),
+                       [c for c, _ in self.rows[self.checked:]], w)
+        self.checked = len(self.rows)
         return Feasibility("sat", w, 0)
+
+    def system(self) -> IlpSystem:
+        """The system of what this closure took in: its variables, sorted
+        by name as `system` orders them, and its rows in the order taken
+        in."""
+        return IlpSystem(tuple(sorted(self.variables.items())),
+                         tuple([c for c, _ in self.rows]))
 
     def rows_of(self, sys: IlpSystem) -> list[tuple[dict[str, int], str, int]]:
         """The presolved rows of sys's constraints, in sys's order, with
@@ -515,20 +537,30 @@ def feasible(sys: IlpSystem, node_budget: int = 10 ** 6,
     it refutes the rows or fixes every variable to one integer point;
     such an answer reports 0 nodes.  A caller that already holds the
     closure of sys's rows (extended row by row) passes it, and it is not
-    built again.  Every other system goes to branch and bound on the
-    presolved rows in sys's order, not on the ones propagation reduced,
-    so the relaxation, its vertices and hence the witness are those of
-    the full system.  Branch bounds may descend without the LP ever going
-    infeasible (no integer point but rational ones everywhere); the
-    a-priori magnitude bound caps that descent, so the answer "unsat" is
-    exact.  "unknown" only appears when the node budget runs out first.
+    built again.  Every other system goes to `_branch_and_bound`.
     """
-    varnames = [v for v, _ in sys.variables]
     if closure is None:
         closure = Closure().add(sys.constraints, sys.variables)
-    decided = closure.verdict(varnames)
+    decided = closure.verdict([v for v, _ in sys.variables])
     if decided is not None:
         return decided
+    return _branch_and_bound(sys, closure, node_budget)
+
+
+def _branch_and_bound(sys: IlpSystem, closure: Closure,
+                      node_budget: int) -> Feasibility:
+    """Branch and bound on the LP relaxation of a system its closure left
+    open.
+
+    It runs on the presolved rows in sys's order, not on the ones
+    propagation reduced, so the relaxation, its vertices and hence the
+    witness are those of the full system.  Branch bounds may descend
+    without the LP ever going infeasible (no integer point but rational
+    ones everywhere); the a-priori magnitude bound caps that descent, so
+    the answer "unsat" is exact.  "unknown" only appears when the node
+    budget runs out first.
+    """
+    varnames = [v for v, _ in sys.variables]
     constraints = closure.rows_of(sys)
 
     bound = _magnitude_bound(sys)
@@ -592,13 +624,24 @@ class Solver:
     def feasible(self, sys: IlpSystem, node_budget: int | None = None,
                  closure: Closure | None = None) -> Feasibility:
         """Decide sys within node_budget nodes (default: the solver's own);
-        an exhausted budget raises BudgetExceeded.  `closure`, when given,
-        is the closure of sys's rows (see `feasible`)."""
+        an exhausted budget raises BudgetExceeded.
+
+        `closure`, when given, is the closure of sys's rows, extended row
+        by row by a prefix search; without one it is built here.  A
+        system its closure decides is answered from it with 0 nodes (see
+        `feasible`); only the systems it leaves open are counted in
+        `queries`, exported and sent to branch and bound.
+        """
+        if closure is None:
+            closure = Closure().add(sys.constraints, sys.variables)
+        res = closure.verdict([v for v, _ in sys.variables])
+        if res is not None:
+            return res
         budget = self.node_budget if node_budget is None else node_budget
         self.queries += 1
         if self.export_dir is not None:
             self._export(sys)
-        res = feasible(sys, budget, closure)
+        res = _branch_and_bound(sys, closure, budget)
         if res.status == "unknown":
             raise BudgetExceeded(f"ILP node budget {budget} exhausted")
         return res

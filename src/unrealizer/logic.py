@@ -10,7 +10,9 @@ all of its branches, and each branch left is decided exactly in turn.
 Each partial conjunction and branch carries an `ilp.Closure` (exact
 bound propagation) extended from its parent's by the atoms it added;
 propagation is monotone, so that is the closure of its whole system.
-Only the systems the closure leaves open go to the integer solver.
+The solver gets each system with its closure and answers from it where
+propagation settles the system; only the ones left open reach branch and
+bound.
 """
 
 import itertools
@@ -299,10 +301,11 @@ def _branches(f, solver=None, rows=None):
     disjunction whenever it gained atoms since its last check: its
     closure is extended by the new atoms' rows (the closure of a parent
     plus rows is the closure of the whole conjunction, so nothing is
-    propagated twice), and one the closure or the solver refutes is
-    dropped with every branch extending it.  A yielded branch's closure
-    holds all of its atoms and variables.  `rows` maps an atom to its row
-    and variables, as in `branch_system`.
+    propagated twice), and one the solver refutes, from the closure or by
+    branch and bound, is dropped with every branch extending it.  A
+    yielded branch's closure holds all of its atoms and variables, so its
+    `system()` is the branch's `branch_system`.  `rows` maps an atom to
+    its row and variables, as in `branch_system`.
     """
     if rows is None:
         rows = {}
@@ -329,13 +332,7 @@ def _branches(f, solver=None, rows=None):
                     closure = _extend(closure, atoms[taken:], nonneg,
                                       free_bound, rows)
                     taken = len(atoms)
-                    decided = closure.verdict()
-                    if decided is None:
-                        refuted = solver.refutes(branch_system(
-                            Branch(atoms, nonneg, free_bound), rows), closure)
-                    else:
-                        refuted = decided.status == "unsat"
-                    if refuted:
+                    if solver.refutes(closure.system(), closure):
                         break
                 for h in reversed(g.args):
                     stack.append(((h, todo), atoms, nonneg, free_bound,
@@ -407,15 +404,13 @@ def decide(f, solver):
 
     The witness is that of the first sat branch in `dnf_branches` order.
     Each atom's row is built once per call and shared by the partial
-    conjunctions and the branches that contain it.  A branch is decided
-    by its closure where propagation settles it, and by the solver (on
-    the full system, with the closure passed along) where it stays open.
+    conjunctions and the branches that contain it.  Each branch goes to
+    the solver with its closure, which decides it where propagation
+    settles it and by branch and bound on the full system otherwise.
     """
     rows = {}
     for b, closure in _branches(f, solver, rows):
-        res = closure.verdict()
-        if res is None:
-            res = solver.feasible(branch_system(b, rows), closure=closure)
+        res = solver.feasible(closure.system(), closure=closure)
         if res.status == "sat":
             return "sat", dict(res.witness)
     return "unsat", None

@@ -428,9 +428,10 @@ def test_14_disjunctive_max_realizable_and_checks_scale_linearly():
         assert solver.queries <= bound, (name, solver.queries)
 
 
-def test_closures_keep_prefix_checks_off_the_solver_at_ten_examples():
-    # test_14's checks at d = 10: the LessThan prefixes and the DNF partial
-    # conjunctions that bound propagation decides never reach the solver
+def test_closures_keep_prefix_checks_out_of_branch_and_bound_at_ten_examples():
+    # test_14's checks at d = 10: the solver answers the LessThan prefixes
+    # and DNF partial conjunctions that bound propagation decides from
+    # their closures, and Solver.queries counts only the systems left open
     rng = random.Random(10)
     cases = (
         ("g2.sy", [(x,) for x in rng.sample(range(-20, 21), 10)], 20),

@@ -1,4 +1,5 @@
 import itertools
+import sys
 import random
 
 import pytest
@@ -6,10 +7,10 @@ import pytest
 from unrealizer import booldom
 from unrealizer import semilinear as sl
 from unrealizer.booldom import (
-    LessThanCache, _pattern_system, abs_and, abs_less_than, abs_not,
+    LessThanCache, _Pair, abs_and, abs_less_than, abs_not,
     all_true, bset_str, conj, mask_str, neg, parse_mask, proj_z,
 )
-from unrealizer.ilp import BudgetExceeded, Solver
+from unrealizer.ilp import BudgetExceeded, Solver, constraint, system
 
 
 def bools(*rows):
@@ -127,6 +128,26 @@ def test_cache_reuses_results():
     assert solver.queries == n
 
 
+def pattern_system(c1, c2, pattern):
+    """o1 in c1, o2 in c2 and (o1 < o2) == pattern on the pattern's
+    coordinates, over the generator multipliers a0.. of c1 and b0.. of c2
+    (nonneg), one row per coordinate."""
+    variables = {f"a{j}": True for j in range(len(c1.gens))}
+    variables.update({f"b{j}": True for j in range(len(c2.gens))})
+    rows = []
+    for i, less in enumerate(pattern):
+        # o1_i - o2_i = diff . multipliers + const
+        diff = {f"a{j}": g[i] for j, g in enumerate(c1.gens)}
+        diff.update({f"b{j}": -g[i] for j, g in enumerate(c2.gens)})
+        const = c1.base[i] - c2.base[i]
+        if less:
+            rows.append(constraint(diff, "<", -const))
+        else:
+            rows.append(constraint({v: -k for v, k in diff.items()}, "<=",
+                                   const))
+    return system(variables, rows)
+
+
 def reference_patterns(s1, s2, solver):
     """The exhaustive definition: every one of the 2^d sign patterns,
     decided for each pair of components in turn.  Maps a pattern to
@@ -135,7 +156,7 @@ def reference_patterns(s1, s2, solver):
     for p in itertools.product((True, False), repeat=s1.dim):
         try:
             out[p] = any(
-                solver.feasible(_pattern_system(c1, c2, p)).status == "sat"
+                solver.feasible(pattern_system(c1, c2, p)).status == "sat"
                 for c1 in s1.components for c2 in s2.components)
         except BudgetExceeded:
             out[p] = None
@@ -165,3 +186,21 @@ def test_prefix_search_matches_all_patterns(monkeypatch, pair_cap):
                 assert (p in got) == realized, (s1, s2, p)
         decided += None not in ref.values()
     assert decided >= 20
+
+
+def test_pair_closure_deeper_than_the_recursion_limit():
+    # o1 = a0 on every coordinate, o2 = 5: each True row gives a0 <= 4,
+    # each False row a0 >= 5
+    d = sys.getrecursionlimit() + 50
+    c1, c2 = sl.linset((0,) * d, [(1,) * d]), sl.linset((5,) * d)
+    pair = _Pair(c1, c2)
+    open_prefix = (True,) * d
+    cl = pair.closure(open_prefix)
+    assert cl.verdict() is None
+    assert (cl.lower["a0"], cl.upper["a0"]) == (0, 4)
+    assert cl.system() == pattern_system(c1, c2, open_prefix)
+    assert len(pair.closures) == d + 1
+    crossed = open_prefix[:-1] + (False,)
+    assert pair.closure(crossed).verdict().status == "unsat"
+    assert len(pair.closures) == d + 2
+    assert Solver().feasible(pattern_system(c1, c2, crossed)).status == "unsat"

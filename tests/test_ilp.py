@@ -618,3 +618,44 @@ def test_closure_of_another_system_is_refused():
         ilp.feasible(ilp.system({"x": True, "y": False}, rows), closure=cl)
     assert ilp.feasible(ilp.system({"x": True, "y": True}, rows),
                         closure=cl).status == "sat"
+
+
+def test_solver_answers_from_the_closure_and_counts_only_open_systems(
+        tmp_path):
+    out = tmp_path / "smt"
+    solver = ilp.Solver(export_dir=str(out))
+    x3 = ilp.Closure().add([ilp.constraint({"x": 1}, "=", 3)], [("x", True)])
+    assert solver.feasible(x3.system(), closure=x3) == \
+        ilp.Feasibility("sat", {"x": 3}, 0)
+    neg = x3.add([ilp.constraint({"x": 1}, "<=", 2)])
+    assert solver.refutes(neg.system(), neg)
+    # an unsat closure still takes in rows, so its system stays whole
+    more = ilp.constraint({"x": 1}, "<=", 9)
+    assert neg.add([more]).system().constraints == \
+        neg.system().constraints + (more,)
+    # without a closure the solver builds one and answers from it alike
+    assert solver.feasible(x3.system()).status == "sat"
+    assert solver.queries == 0 and not out.exists()
+    open_sys = ilp.system({"x": True, "y": False},
+                          [ilp.constraint({"x": 2, "y": -1}, "<=", 3)])
+    cl = ilp.Closure().add(open_sys.constraints, open_sys.variables)
+    assert cl.system() == open_sys
+    assert solver.feasible(open_sys, closure=cl) == ilp.feasible(open_sys)
+    assert solver.queries == 1
+    assert [p.name for p in out.iterdir()] == ["query00001.smt2"]
+
+
+def test_verdict_rechecks_the_rows_taken_in_since_the_last_recheck():
+    x3 = ilp.Closure().add([ilp.constraint({"x": 1}, "=", 3)], [("x", True)])
+    assert x3.verdict().status == "sat" and x3.checked == 1
+    row = ilp.constraint({"x": 1, "y": 1}, "=", 5)
+    ok = x3.add([row], [("y", True)])
+    assert ok.checked == 1
+    assert ok.verdict() == ilp.Feasibility("sat", {"x": 3, "y": 2}, 0)
+    assert ok.checked == 2
+    # a wrong point, as a fault in propagation would leave it, fails the
+    # recheck of the new row
+    bad = x3.add([row], [("y", True)])
+    bad.fixed["y"] = 4
+    with pytest.raises(AssertionError):
+        bad.verdict()

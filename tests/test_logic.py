@@ -432,3 +432,16 @@ def test_decide_shares_atom_rows_and_keeps_cancelled_variables():
     for b in lg.dnf_branches(f):
         assert lg.branch_system(b, rows) == lg.branch_system(b)
     assert len(rows) == 3
+
+
+def test_branch_closures_hold_the_branch_systems():
+    # decide hands the solver each closure's own system, which must be
+    # the branch's system as branch_system builds it from scratch
+    rng = random.Random(43)
+    seen = 0
+    for _ in range(60):
+        f = _random_formula(rng, 4)
+        for b, closure in lg._branches(f, Solver(), {}):
+            assert closure.system() == lg.branch_system(b), f
+            seen += 1
+    assert seen >= 60

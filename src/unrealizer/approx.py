@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from . import logic as lg
 from .grammar import (
     AND, BOOL, DOUBLE, INC, INT, ITE, LESSTHAN, MINUS, NOT, NUM, NEGVAR,
-    PLUS, VAR, GrammarError, IterationOverrun, Term, eval_term,
+    PLUS, VAR, GrammarError, IterationOverrun, Term, eval_term, numeral,
 )
 from .rewrite import to_plus_form
 
@@ -27,9 +27,9 @@ class Predicate:
 @dataclass(frozen=True)
 class PredicateDomain:
     """Finite partition of the integers: predicates are pairwise
-    disjoint and jointly exhaustive; abstract values are name subsets."""
+    disjoint and jointly exhaustive; abstract values are name subsets.
+    The one domain is parity (`parity_domain`)."""
 
-    name: str
     predicates: tuple  # of Predicate
 
     @property
@@ -52,33 +52,23 @@ class PredicateDomain:
                          for n in sorted(subset)))
 
     def transform(self, kind, args):
+        """Parity of an operator's result from its arguments' parities;
+        an operator parity does not track may give either."""
         if any(not a for a in args):
             return frozenset()
-        if self.name == "parity":
-            return _parity_transform(self.names, kind, args)
+        if kind in (PLUS, MINUS):
+            out = args[0]
+            for a in args[1:]:
+                out = frozenset("even" if p == q else "odd"
+                                for p in out for q in a)
+            return out
+        if kind == DOUBLE:
+            return frozenset({"even"})
+        if kind == INC:
+            return frozenset("odd" if p == "even" else "even" for p in args[0])
         if kind == ITE:
             return args[0] | args[1]
         return self.names
-
-
-def _parity_flip(p):
-    return "odd" if p == "even" else "even"
-
-
-def _parity_transform(top, kind, args):
-    if kind in (PLUS, MINUS):
-        out = args[0]
-        for a in args[1:]:
-            out = frozenset("even" if p == q else "odd"
-                            for p in out for q in a)
-        return out
-    if kind == DOUBLE:
-        return frozenset({"even"})
-    if kind == INC:
-        return frozenset(_parity_flip(p) for p in args[0])
-    if kind == ITE:
-        return args[0] | args[1]
-    return top
 
 
 def _even(o):
@@ -92,7 +82,7 @@ def _odd(o):
 
 
 def parity_domain():
-    return PredicateDomain("parity", (
+    return PredicateDomain((
         Predicate("even", lambda v: v % 2 == 0, _even),
         Predicate("odd", lambda v: v % 2 != 0, _odd),
     ))
@@ -141,14 +131,10 @@ def _pred_arg(a, nu, dom, e):
 
 # --- constrained-Horn-clause export ------------------------------------------
 
-def _int_const(c):
-    return str(c) if c >= 0 else f"(- {-c})"
-
-
 def _ground(v):
     if isinstance(v, bool):
         return "true" if v else "false"
-    return _int_const(v)
+    return numeral(v)
 
 
 def horn_export(g, e, ps):

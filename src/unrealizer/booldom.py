@@ -32,10 +32,6 @@ def mask_str(b: BoolVec) -> str:
     return "".join("t" if x else "f" for x in b)
 
 
-def parse_mask(s: str) -> BoolVec:
-    return tuple([c == "t" for c in s])
-
-
 def bset_str(bs: BoolVecSet) -> str:
     return "{" + ",".join(mask_str(b) for b in sorted(bs, reverse=True)) + "}"
 
@@ -50,11 +46,6 @@ def conj(a: BoolVec, b: BoolVec) -> BoolVec:
 
 def all_true(dim: int) -> BoolVec:
     return (True,) * dim
-
-
-def proj_z(v: tuple[int, ...], b: BoolVec) -> tuple[int, ...]:
-    """Zero out the coordinates where b is false."""
-    return tuple([x if m else 0 for x, m in zip(v, b)])
 
 
 def abs_not(bs: BoolVecSet) -> BoolVecSet:
@@ -176,9 +167,3 @@ class LessThanCache:
             return self.solver.feasible(closure.system(),
                                         closure=closure).status != "sat"
         return self.solver.refutes(closure.system(), closure)
-
-
-def abs_less_than(sl1: SemiLinearSet, sl2: SemiLinearSet,
-                  solver: ilp.Solver) -> BoolVecSet:
-    """One-shot form; long-running solves should hold a LessThanCache."""
-    return LessThanCache(solver).abs_less_than(sl1, sl2)

@@ -2,7 +2,8 @@
 
 Verdict payloads go to stdout (human-readable by default, JSON with
 --json); progress traces go to stderr.  Exit codes: 0 unrealizable,
-10 realizable, 20 unknown, 2 input error.
+10 realizable, 20 unknown, 2 input error (a problem file that cannot be
+read or parsed, bad options, or an output path that cannot be written).
 """
 
 import argparse
@@ -63,9 +64,6 @@ def _parser():
     checking(p)
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (default: $UNREAL_SEED or 0)")
-    p.add_argument("--sequential", action="store_true",
-                   help="accepted for compatibility; the loop is always "
-                        "sequential")
     p.add_argument("--budget-seconds", type=_at_least(float, 0),
                    default=60.0)
     p.add_argument("--max-term-size", type=_at_least(int, 1), default=20)
@@ -92,9 +90,9 @@ def _load(path):
     try:
         with open(path, "rb") as fh:
             return parse_problem(fh.read().decode())
-    except OSError as e:
-        raise SystemExit(_usage_error(str(e)))
-    except (ParseError, GrammarError) as e:
+    except UnicodeDecodeError as e:
+        raise SystemExit(_usage_error(f"{path} is not UTF-8 text: {e}"))
+    except (OSError, ParseError, GrammarError) as e:
         raise SystemExit(_usage_error(str(e)))
 
 
@@ -250,6 +248,10 @@ def main(argv=None):
         code = handler(args)
     except GrammarError as err:
         return _grammar_error(err, args)
+    except OSError as err:
+        # an --out file or --export-smt directory that cannot be written;
+        # the message names the path
+        return _usage_error(str(err))
     try:
         sys.stdout.flush()
     except BrokenPipeError:

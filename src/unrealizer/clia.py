@@ -23,16 +23,6 @@ from .newton import npa_solve
 from .rewrite import masked, normalize, rem_if
 
 
-def ite_abstract(bset, sl1, sl2):
-    """Exact conditional on abstract values: for every guard pattern,
-    the true coordinates come from the then-value and the rest from the
-    else-value."""
-    out = sl.ZERO
-    for b in sorted(bset, reverse=True):
-        out = out.combine(sl1.project(b).extend(sl2.project(neg(b))))
-    return out
-
-
 def _ref(arg, nu):
     """Value of a nonterminal reference, or the constant argument itself."""
     return nu[arg] if isinstance(arg, str) else arg

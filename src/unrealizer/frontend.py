@@ -10,7 +10,10 @@ from dataclasses import dataclass
 
 from . import grammar as gr
 from . import logic
-from .grammar import BOOL, INT, Production, Rtg, leaf, num, plus, var
+from .grammar import (
+    BOOL, INT, PLUS, SPELLING, Production, Rtg, Symbol, leaf, num, numeral,
+    plus, var,
+)
 
 OUT = "%out"  # stand-in for the synthesized function's output in spec atoms
 
@@ -174,22 +177,20 @@ def _parse_production(lhs, node, nts, variables):
         raise ParseError("expected an operator application", node.line, node.col)
     op = items[0].value
     args = tuple(_parse_arg(a, nts, variables) for a in items[1:])
-    table = {"-": (gr.MINUS_SYM, 2), "ite": (gr.ITE_SYM, 3),
-             "and": (gr.AND_SYM, 2), "not": (gr.NOT_SYM, 1),
-             "<": (gr.LESSTHAN_SYM, 2), "double": (gr.DOUBLE_SYM, 1),
-             "inc": (gr.INC_SYM, 1)}
-    if op == "+":
+    kind = next((k for k, s in SPELLING.items() if s == op), None)
+    if kind is None:
+        raise ParseError(f"unknown grammar operator {op!r}",
+                         node.line, node.col)
+    if kind == PLUS:
         if len(args) < 2:
             raise ParseError("'+' needs at least two arguments",
                              node.line, node.col)
         return Production(lhs, plus(len(args)), args)
-    if op in table:
-        sym, arity = table[op]
-        if len(args) != arity:
-            raise ParseError(f"{op!r} needs exactly {arity} arguments",
-                             node.line, node.col)
-        return Production(lhs, sym, args)
-    raise ParseError(f"unknown grammar operator {op!r}", node.line, node.col)
+    sym = Symbol(kind)
+    if len(args) != sym.rank:
+        raise ParseError(f"{op!r} needs exactly {sym.rank} arguments",
+                         node.line, node.col)
+    return Production(lhs, sym, args)
 
 
 def _parse_grammar(node, start_sort, variables):
@@ -369,10 +370,9 @@ def parse_problem(text):
         for p in g.productions:
             if p.symbol is not None and p.symbol.kind in _CLIA_ONLY:
                 raise ParseError(f"{p.symbol.kind} requires (set-logic CLIA)")
-    diags = gr.validate(g)
-    errors = [d for d in diags if d.severity == "error"]
+    errors = gr.validate(g)
     if errors:
-        raise ParseError("; ".join(d.message for d in errors))
+        raise ParseError("; ".join(errors))
     options["logic"] = logic_name
     spec = logic.conj(*constraints)
     return Problem(name, g, spec, variables, options)
@@ -419,9 +419,9 @@ def _format_linterm(t, fname, variables):
     parts = []
     for v, c in t.coeffs:
         base = app if v == OUT else v
-        parts.append(base if c == 1 else f"(* {c} {base})")
+        parts.append(base if c == 1 else f"(* {numeral(c)} {base})")
     if t.const or not parts:
-        parts.append(str(t.const) if t.const >= 0 else f"(- {-t.const})")
+        parts.append(numeral(t.const))
     return parts[0] if len(parts) == 1 else "(+ " + " ".join(parts) + ")"
 
 
@@ -460,9 +460,7 @@ def _format_production(p):
     sym = p.symbol
     if sym.rank == 0:
         return _format_arg(leaf(sym))
-    ops = {gr.PLUS: "+", gr.MINUS: "-", gr.ITE: "ite", gr.AND: "and",
-           gr.NOT: "not", gr.LESSTHAN: "<", gr.DOUBLE: "double", gr.INC: "inc"}
-    return f"({ops[sym.kind]} {' '.join(_format_arg(a) for a in p.args)})"
+    return f"({SPELLING[sym.kind]} {' '.join(_format_arg(a) for a in p.args)})"
 
 
 def format_problem(p):

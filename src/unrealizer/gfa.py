@@ -50,9 +50,6 @@ class PolynomialSystem:
     dimension: int
     sorts: dict                # nonterminal -> Int/Bool
 
-    def nonterminals(self):
-        return tuple(self.equations)
-
     def has_ite(self):
         return any(isinstance(m, IteMonomial)
                    for monos in self.equations.values() for m in monos)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Union
 
 INT = "Int"
 BOOL = "Bool"
@@ -47,6 +47,17 @@ _RESULT_SORT = {PLUS: INT, MINUS: INT, NUM: INT, VAR: INT, NEGVAR: INT,
 _FIXED_ARGS = {MINUS: (INT, INT), NUM: (), VAR: (), NEGVAR: (),
                ITE: (BOOL, INT, INT), AND: (BOOL, BOOL), NOT: (BOOL,),
                LESSTHAN: (INT, INT), DOUBLE: (INT,), INC: (INT,)}
+
+# The surface spelling of each operator, in problem files and in printed
+# witnesses alike.
+SPELLING = {PLUS: "+", MINUS: "-", ITE: "ite", AND: "and", NOT: "not",
+            LESSTHAN: "<", DOUBLE: "double", INC: "inc"}
+
+
+def numeral(n: int) -> str:
+    """SMT-LIB integer literal: SMT-LIB numerals are nonnegative, and
+    the reader takes `-1` for a symbol, so a negative n is `(- |n|)`."""
+    return str(n) if n >= 0 else f"(- {-n})"
 
 
 class GrammarError(Exception):
@@ -129,12 +140,6 @@ class Term:
     def sort(self) -> str:
         return self.symbol.sort
 
-    def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
-
-    def height(self) -> int:
-        return 1 + max((c.height() for c in self.children), default=0)
-
     def __str__(self) -> str:
         if not self.children:
             return str(self.symbol)
@@ -143,15 +148,13 @@ class Term:
     def to_sexpr(self) -> str:
         k = self.symbol.kind
         if k == NUM:
-            v = self.symbol.value
-            return str(v) if v >= 0 else f"(- {-v})"
+            return numeral(self.symbol.value)
         if k == VAR:
             return self.symbol.name
         if k == NEGVAR:
             return f"(- 0 {self.symbol.name})"
-        op = {PLUS: "+", MINUS: "-", ITE: "ite", AND: "and", NOT: "not",
-              LESSTHAN: "<", DOUBLE: "double", INC: "inc"}[k]
-        return "(" + op + " " + " ".join(c.to_sexpr() for c in self.children) + ")"
+        return ("(" + SPELLING[k] + " "
+                + " ".join(c.to_sexpr() for c in self.children) + ")")
 
 
 def leaf(symbol: Symbol) -> Term:
@@ -202,103 +205,62 @@ class Rtg:
         return "\n".join(str(p) for p in self.productions)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # "error" or "warning"
-    code: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.severity}: {self.message}"
-
-
 def _arg_sort(g: Rtg, a: Arg) -> str | None:
     if isinstance(a, str):
         return g.sorts.get(a)
     return a.sort
 
 
-def validate(g: Rtg) -> list[Diagnostic]:
-    """All structural diagnostics; sort/arity/declaration faults are errors,
-    unproductive nonterminals are warnings (their language is empty and the
-    solvers assign them the bottom abstract value)."""
-    out: list[Diagnostic] = []
+def validate(g: Rtg) -> list[str]:
+    """Every sort, arity and declaration fault of g, one message each.  A
+    nonterminal that derives no finite tree is not a fault: its language
+    is empty and the solvers give it the bottom value."""
+    out: list[str] = []
     declared = g.sorts
     if g.start not in declared:
-        out.append(Diagnostic("error", "undeclared-nonterminal",
-                              f"start symbol {g.start!r} is not declared"))
+        out.append(f"start symbol {g.start!r} is not declared")
     seen = set()
     for name, _ in g.nonterminals:
         if name in seen:
-            out.append(Diagnostic("error", "duplicate-nonterminal",
-                                  f"nonterminal {name!r} declared twice"))
+            out.append(f"nonterminal {name!r} declared twice")
         seen.add(name)
     for p in g.productions:
         if p.lhs not in declared:
-            out.append(Diagnostic("error", "undeclared-nonterminal",
-                                  f"production uses undeclared nonterminal {p.lhs!r}"))
+            out.append(f"production uses undeclared nonterminal {p.lhs!r}")
             continue
         for a in p.args:
             if isinstance(a, str) and a not in declared:
-                out.append(Diagnostic("error", "undeclared-nonterminal",
-                                      f"{p} references undeclared nonterminal {a!r}"))
+                out.append(f"{p} references undeclared nonterminal {a!r}")
             if isinstance(a, Term) and a.children:
-                out.append(Diagnostic("error", "inline-term",
-                                      f"{p} inlines a non-leaf term"))
+                out.append(f"{p} inlines a non-leaf term")
         if p.is_alias:
             if len(p.args) != 1 or not isinstance(p.args[0], str):
-                out.append(Diagnostic("error", "arity-mismatch",
-                                      f"alias production {p} needs exactly one nonterminal"))
+                out.append(f"alias production {p} needs exactly one nonterminal")
                 continue
             tgt = p.args[0]
             if tgt in declared and declared[tgt] != declared[p.lhs]:
-                out.append(Diagnostic("error", "sort-mismatch",
-                                      f"{p}: alias target has sort {declared[tgt]}, "
-                                      f"lhs has {declared[p.lhs]}"))
+                out.append(f"{p}: alias target has sort {declared[tgt]}, "
+                           f"lhs has {declared[p.lhs]}")
             continue
         if len(p.args) != p.symbol.rank:
-            out.append(Diagnostic("error", "arity-mismatch",
-                                  f"{p}: {p.symbol.kind} expects {p.symbol.rank} arguments"))
+            out.append(f"{p}: {p.symbol.kind} expects {p.symbol.rank} arguments")
             continue
         if declared[p.lhs] != p.symbol.sort:
-            out.append(Diagnostic("error", "sort-mismatch",
-                                  f"{p}: {p.symbol.kind} produces {p.symbol.sort}, "
-                                  f"lhs has sort {declared[p.lhs]}"))
+            out.append(f"{p}: {p.symbol.kind} produces {p.symbol.sort}, "
+                       f"lhs has sort {declared[p.lhs]}")
         for a, want in zip(p.args, p.symbol.arg_sorts):
             got = _arg_sort(g, a)
             if got is not None and got != want:
-                out.append(Diagnostic("error", "sort-mismatch",
-                                      f"{p}: argument of sort {got} where {want} expected"))
-    if not any(d.severity == "error" for d in out):
-        productive = _productive(g)
-        for name, _ in g.nonterminals:
-            if name not in productive:
-                out.append(Diagnostic("warning", "unproductive",
-                                      f"nonterminal {name!r} derives no finite tree"))
+                out.append(f"{p}: argument of sort {got} where {want} expected")
     return out
 
 
 def check(g: Rtg) -> Rtg:
-    """Raise on error-severity diagnostics, pass warnings through."""
-    errors = [d for d in validate(g) if d.severity == "error"]
+    """g itself; raises GrammarError with every fault `validate` finds."""
+    errors = validate(g)
     if errors:
-        raise GrammarError("; ".join(d.message for d in errors))
+        raise GrammarError("; ".join(errors))
     return g
-
-
-def _productive(g: Rtg) -> set[str]:
-    productive: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for p in g.productions:
-            if p.lhs in productive:
-                continue
-            ok = all(isinstance(a, Term) or a in productive for a in p.args)
-            if ok:
-                productive.add(p.lhs)
-                changed = True
-    return productive
 
 
 def reachable(g: Rtg, roots: Iterable[str]) -> set[str]:
@@ -342,18 +304,6 @@ class ExampleSet:
     def point(self, j: int) -> dict[str, int]:
         return dict(zip(self.variables, self.rows[j]))
 
-    def points(self) -> list[dict[str, int]]:
-        return [self.point(j) for j in range(self.dimension)]
-
-    @staticmethod
-    def from_points(points: Iterable[Mapping[str, int]],
-                    variables: Iterable[str] | None = None) -> "ExampleSet":
-        points = list(points)
-        if variables is None:
-            variables = sorted({v for p in points for v in p})
-        vs = tuple(variables)
-        return ExampleSet(vs, tuple([tuple([int(p[v]) for v in vs]) for p in points]))
-
 
 def eval_term(t: Term, e: ExampleSet) -> tuple:
     """Componentwise value of a term on every example; Int terms yield an
@@ -366,111 +316,6 @@ def eval_term(t: Term, e: ExampleSet) -> tuple:
     if k == NEGVAR:
         return tuple([-v for v in e.var_vector(t.symbol.name)])
     return apply_symbol(t.symbol, [eval_term(c, e) for c in t.children])
-
-
-# -- bounded enumeration -----------------------------------------------------
-
-def enumerate_trees(g: Rtg, nt: str, depth: int) -> Iterator[Term]:
-    """Every tree of height <= depth derivable from nt, each exactly once.
-
-    Deterministic order: by height, then production declaration order, then
-    child combinations left to right.  A leaf has height 1; alias
-    productions add no node and no height.
-    """
-    upto: dict[str, list[Term]] = {n: [] for n, _ in g.nonterminals}
-    seen: dict[str, set[Term]] = {n: set() for n, _ in g.nonterminals}
-
-    def materialize(a: Arg, h: int) -> list[Term]:
-        if isinstance(a, Term):
-            return [a] if h >= 1 else []
-        return [t for t in upto[a] if t.height() <= h]
-
-    for h in range(1, depth + 1):
-        added = True
-        # alias productions may chain; iterate until the level is stable
-        while added:
-            added = False
-            for p in g.productions:
-                if p.is_alias:
-                    for t in list(upto[p.args[0]]):
-                        if t.height() <= h and t not in seen[p.lhs]:
-                            seen[p.lhs].add(t)
-                            upto[p.lhs].append(t)
-                            added = True
-                    continue
-                if p.symbol.rank == 0:
-                    t = Term(p.symbol)
-                    if t.height() <= h and t not in seen[p.lhs]:
-                        seen[p.lhs].add(t)
-                        upto[p.lhs].append(t)
-                        added = True
-                    continue
-                pools = [materialize(a, h - 1) for a in p.args]
-                if any(not pool for pool in pools):
-                    continue
-                for combo in itertools.product(*pools):
-                    t = Term(p.symbol, tuple(combo))
-                    if t not in seen[p.lhs]:
-                        seen[p.lhs].add(t)
-                        upto[p.lhs].append(t)
-                        added = True
-    for t in sorted(upto.get(nt, []), key=lambda t: t.height()):
-        yield t
-
-
-def reachable_values(g: Rtg, nt: str, depth: int, e: ExampleSet,
-                     max_values: int = 200_000) -> dict[tuple, Term]:
-    """Output vector -> one representative tree, over all trees of height
-    <= depth from nt.  Equivalent trees are merged as they are built, so
-    this scales where full tree enumeration cannot; it is the bounded
-    oracle for the combine-over-all-derivations semantics."""
-    banks: dict[str, dict[tuple, Term]] = {n: {} for n, _ in g.nonterminals}
-
-    def settle_aliases() -> None:
-        moved = True
-        while moved:
-            moved = False
-            for p in g.productions:
-                if not p.is_alias:
-                    continue
-                for v, t in list(banks[p.args[0]].items()):
-                    if v not in banks[p.lhs]:
-                        banks[p.lhs][v] = t
-                        moved = True
-
-    def argvals(a: Arg) -> list[tuple[tuple, Term | None]]:
-        if isinstance(a, Term):
-            return [(eval_term(a, e), None)]
-        return [(v, t) for v, t in banks[a].items()]
-
-    for _ in range(depth):
-        fresh: list[tuple[str, tuple, Term]] = []
-        for p in g.productions:
-            if p.is_alias:
-                continue
-            if p.symbol.rank == 0:
-                t = Term(p.symbol)
-                v = eval_term(t, e)
-                if v not in banks[p.lhs]:
-                    fresh.append((p.lhs, v, t))
-                continue
-            pools = [argvals(a) for a in p.args]
-            if any(not pool for pool in pools):
-                continue
-            for combo in itertools.product(*pools):
-                children = tuple(a if isinstance(a, Term) else t
-                                 for a, (_, t) in zip(p.args, combo))
-                vec = apply_symbol(p.symbol, [v for v, _ in combo])
-                if vec not in banks[p.lhs]:
-                    t = Term(p.symbol, children)
-                    fresh.append((p.lhs, vec, t))
-        for lhs, v, t in fresh:
-            if v not in banks[lhs]:
-                banks[lhs][v] = t
-        settle_aliases()
-        if sum(len(b) for b in banks.values()) > max_values:
-            raise GrammarError(f"value enumeration exceeded {max_values} entries")
-    return dict(banks.get(nt, {}))
 
 
 def apply_symbol(sym: Symbol, vals: list[tuple]) -> tuple:

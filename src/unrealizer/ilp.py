@@ -37,6 +37,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .grammar import numeral
+
 EQ, LE, LT = "=", "<=", "<"
 
 
@@ -75,7 +77,7 @@ def system(variables: dict[str, bool], constraints: list[Constraint]) -> IlpSyst
 
 @dataclass(frozen=True)
 class Feasibility:
-    status: str                      # "sat", "unsat" or "unknown" (budget exhausted)
+    status: str                      # "sat" or "unsat"
     witness: dict[str, int] | None = None
     nodes: int = 0
 
@@ -528,25 +530,6 @@ def _equalities_integral(varnames: list[str],
     return True
 
 
-def feasible(sys: IlpSystem, node_budget: int = 10 ** 6,
-             closure: Closure | None = None) -> Feasibility:
-    """Exact integer feasibility: presolve, then branch and bound on the LP
-    relaxation.
-
-    Presolve is the system's `Closure`: it settles a system outright when
-    it refutes the rows or fixes every variable to one integer point;
-    such an answer reports 0 nodes.  A caller that already holds the
-    closure of sys's rows (extended row by row) passes it, and it is not
-    built again.  Every other system goes to `_branch_and_bound`.
-    """
-    if closure is None:
-        closure = Closure().add(sys.constraints, sys.variables)
-    decided = closure.verdict([v for v, _ in sys.variables])
-    if decided is not None:
-        return decided
-    return _branch_and_bound(sys, closure, node_budget)
-
-
 def _branch_and_bound(sys: IlpSystem, closure: Closure,
                       node_budget: int) -> Feasibility:
     """Branch and bound on the LP relaxation of a system its closure left
@@ -557,8 +540,8 @@ def _branch_and_bound(sys: IlpSystem, closure: Closure,
     witness are those of the full system.  Branch bounds may descend
     without the LP ever going infeasible (no integer point but rational
     ones everywhere); the a-priori magnitude bound caps that descent, so
-    the answer "unsat" is exact.  "unknown" only appears when the node
-    budget runs out first.
+    the answer "unsat" is exact.  A search that needs more than
+    `node_budget` nodes raises BudgetExceeded.
     """
     varnames = [v for v, _ in sys.variables]
     constraints = closure.rows_of(sys)
@@ -574,7 +557,7 @@ def _branch_and_bound(sys: IlpSystem, closure: Closure,
         lower, upper = stack.pop()
         nodes += 1
         if nodes > node_budget:
-            return Feasibility("unknown", None, nodes)
+            raise BudgetExceeded(f"ILP node budget {node_budget} exhausted")
         out_of_box = False
         for v in varnames:
             lo = lower[v] if lower[v] is not None else -bound
@@ -623,28 +606,28 @@ class Solver:
 
     def feasible(self, sys: IlpSystem, node_budget: int | None = None,
                  closure: Closure | None = None) -> Feasibility:
-        """Decide sys within node_budget nodes (default: the solver's own);
-        an exhausted budget raises BudgetExceeded.
+        """Exact integer feasibility of sys: presolve, then branch and
+        bound on the LP relaxation, within node_budget nodes (default: the
+        solver's own); an exhausted budget raises BudgetExceeded.
 
-        `closure`, when given, is the closure of sys's rows, extended row
-        by row by a prefix search; without one it is built here.  A
-        system its closure decides is answered from it with 0 nodes (see
-        `feasible`); only the systems it leaves open are counted in
-        `queries`, exported and sent to branch and bound.
+        Presolve is the system's `Closure`.  A caller that holds the
+        closure of sys's rows, extended row by row by a prefix search,
+        passes it; without one it is built here.  A system its closure
+        decides (refuted rows, or every variable fixed to one integer
+        point) is answered from it with 0 nodes; only the systems it
+        leaves open are counted in `queries`, exported and sent to
+        `_branch_and_bound`.
         """
         if closure is None:
             closure = Closure().add(sys.constraints, sys.variables)
         res = closure.verdict([v for v, _ in sys.variables])
         if res is not None:
             return res
-        budget = self.node_budget if node_budget is None else node_budget
         self.queries += 1
         if self.export_dir is not None:
             self._export(sys)
-        res = _branch_and_bound(sys, closure, budget)
-        if res.status == "unknown":
-            raise BudgetExceeded(f"ILP node budget {budget} exhausted")
-        return res
+        return _branch_and_bound(
+            sys, closure, self.node_budget if node_budget is None else node_budget)
 
     def refutes(self, sys: IlpSystem, closure: Closure | None = None) -> bool:
         """True iff sys is shown to have no integer solution within
@@ -687,9 +670,8 @@ def export_smtlib(sys: IlpSystem) -> str:
         if nonneg:
             lines.append(f"(assert (>= {v} 0))")
     for c in sys.constraints:
-        terms = [f"(* {k} {v})" for v, k in c.coeffs]
+        terms = [f"(* {numeral(k)} {v})" for v, k in c.coeffs]
         lhs = terms[0] if len(terms) == 1 else "(+ " + " ".join(terms) + ")" if terms else "0"
-        op = c.rel if c.rel != EQ else "="
-        lines.append(f"(assert ({op} {lhs} {c.rhs}))")
+        lines.append(f"(assert ({c.rel} {lhs} {numeral(c.rhs)}))")
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"

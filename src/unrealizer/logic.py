@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import ilp
+from .grammar import numeral
 
 RELOPS = ("=", "<", "<=", ">", ">=", "!=")
 
@@ -133,17 +134,6 @@ def exists(bound, body, nonneg=True):
     if not bound:
         return body
     return LiaFormula("exists", (body,), bound=tuple(bound), nonneg=nonneg)
-
-
-def free_vars(f):
-    if f.op == "atom":
-        return f.atom[0].variables() | f.atom[2].variables()
-    if f.op == "exists":
-        return free_vars(f.args[0]) - set(f.bound)
-    out = set()
-    for g in f.args:
-        out |= free_vars(g)
-    return out
 
 
 def evaluate(f, env):
@@ -263,11 +253,6 @@ class Branch:
     free_bound: frozenset = frozenset()
 
 
-def dnf_branches(f):
-    """DNF of a formula; bound variables are freshened to q1, q2, ..."""
-    return [b for b, _ in _branches(f)]
-
-
 def _freshen(g, renaming, fresh):
     """Rename every bound variable to q1, q2, ... in pre-order."""
     # a module-level recursion, not a nested closure: a closure that calls
@@ -304,8 +289,10 @@ def _branches(f, solver=None, rows=None):
     propagated twice), and one the solver refutes, from the closure or by
     branch and bound, is dropped with every branch extending it.  A
     yielded branch's closure holds all of its atoms and variables, so its
-    `system()` is the branch's `branch_system`.  `rows` maps an atom to
-    its row and variables, as in `branch_system`.
+    `system()` is the branch's system: a row per atom, over the variables
+    of every atom (those whose coefficients cancel too) and the bound
+    ones, nonneg where the branch says so.  `rows` maps an atom to its
+    row and variables, built once per atom (`_atom_row`).
     """
     if rows is None:
         rows = {}
@@ -377,32 +364,10 @@ def _extend(closure, atoms, nonneg, free_bound, rows):
     return closure.add(cons, variables)
 
 
-def branch_system(b, rows=None):
-    """The ILP system of one branch: a row per atom, over the variables
-    of every atom (those whose coefficients cancel too) and the bound
-    ones, nonneg where the branch says so.
-
-    `rows` maps an atom to its row and its variables; a caller that
-    builds many systems from the same atoms passes one dict to all of
-    them, so each atom's row is built once.  Without it every atom is
-    built afresh.
-    """
-    if rows is None:
-        rows = {}
-    varnames = set(b.nonneg) | set(b.free_bound)
-    cons = []
-    for a in b.atoms:
-        c, names = _atom_row(a, rows)
-        cons.append(c)
-        varnames |= names
-    variables = {v: v in b.nonneg for v in sorted(varnames)}
-    return ilp.system(variables, cons)
-
-
 def decide(f, solver):
     """Return ('sat', witness) or ('unsat', None); may raise BudgetExceeded.
 
-    The witness is that of the first sat branch in `dnf_branches` order.
+    The witness is that of the first sat branch in DNF order.
     Each atom's row is built once per call and shared by the partial
     conjunctions and the branches that contain it.  Each branch goes to
     the solver with its closure, which decides it where propagation
@@ -468,16 +433,12 @@ def _render_lin(t):
         if c == 1:
             parts.append(v)
         else:
-            parts.append(f"(* {_render_int(c)} {v})")
+            parts.append(f"(* {numeral(c)} {v})")
     if t.const or not parts:
-        parts.append(_render_int(t.const))
+        parts.append(numeral(t.const))
     if len(parts) == 1:
         return parts[0]
     return "(+ " + " ".join(parts) + ")"
-
-
-def _render_int(c):
-    return str(c) if c >= 0 else f"(- {-c})"
 
 
 def render(f):
@@ -503,13 +464,3 @@ def render(f):
             body = f"(and {lows} {body})"
         return f"(exists ({decls}) {body})"
     raise ValueError(f.op)
-
-
-def to_smtlib(f):
-    """Full SMT-LIB2 script deciding the formula; byte-stable."""
-    lines = ["(set-logic LIA)"]
-    for v in sorted(free_vars(f)):
-        lines.append(f"(declare-const {v} Int)")
-    lines.append(f"(assert {render(f)})")
-    lines.append("(check-sat)")
-    return "\n".join(lines) + "\n"

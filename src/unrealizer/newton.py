@@ -136,21 +136,3 @@ def npa_solve(sys, solver=None, trace=None):
         nu = new
     return nu
 
-
-def kleene_solve(sys, max_steps=200):
-    """Plain iteration to a fixpoint; diverges on star-requiring systems.
-
-    Testing reference only: compares against npa_solve where it converges.
-    """
-    nu = {x: sl.ZERO for x in sys.equations}
-    for _ in range(max_steps):
-        new = {}
-        for x, monos in sys.equations.items():
-            total = nu[x]
-            for m in monos:
-                total = total.combine(monomial_value(m, nu))
-            new[x] = total
-        if new == nu:
-            return nu
-        nu = new
-    raise RuntimeError("no fixpoint within the step budget")

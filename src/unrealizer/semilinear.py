@@ -120,10 +120,6 @@ class SemiLinearSet:
             out.append(linset(base, gens))
         return sls(out)
 
-    def size(self) -> int:
-        """Sum over components of (generator count + 1)."""
-        return sum(len(c.gens) + 1 for c in self.components)
-
     def gamma_bounded(self, budget: int) -> frozenset[Vector]:
         """All points u + sum(l_i * v_i) with every 0 <= l_i <= budget.
 
@@ -136,14 +132,6 @@ class SemiLinearSet:
                 pts.add(tuple(b + sum(l * g[i] for l, g in zip(ls, c.gens))
                               for i, b in enumerate(c.base)))
         return frozenset(pts)
-
-    def to_json(self) -> dict:
-        return {"components": [{"base": list(c.base), "gens": [list(g) for g in c.gens]}
-                               for c in self.components]}
-
-    @staticmethod
-    def from_json(data: dict) -> "SemiLinearSet":
-        return sls([linset(c["base"], c["gens"]) for c in data["components"]])
 
 
 def _check_dims(a: SemiLinearSet, b: SemiLinearSet) -> None:

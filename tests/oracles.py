@@ -1,0 +1,223 @@
+"""Reference definitions the tests check the package against.
+
+Each one is the plain, eager form of something the package computes
+another way: bounded tree and value enumeration for the equation
+solvers, Kleene iteration for Newton's method, the guard-pattern sum for
+`ite`, the one-shot `LessThan`, and the DNF branches with their ILP
+systems for the lazy walk in `logic.decide`.  The package itself never
+calls them.  pytest does not collect this module (its name does not
+start with ``test_``); the tests import it by name.
+"""
+
+import itertools
+
+from unrealizer import ilp
+from unrealizer import logic as lg
+from unrealizer import semilinear as sl
+from unrealizer.booldom import LessThanCache, neg
+from unrealizer.grammar import (
+    ExampleSet, GrammarError, Term, apply_symbol, eval_term,
+)
+from unrealizer.newton import monomial_value
+
+# --- terms and example sets -------------------------------------------------
+
+
+def height(t):
+    return 1 + max((height(c) for c in t.children), default=0)
+
+
+def term_size(t):
+    return 1 + sum(term_size(c) for c in t.children)
+
+
+def sls_size(v):
+    """Sum over components of (generator count + 1)."""
+    return sum(len(c.gens) + 1 for c in v.components)
+
+
+def example_set(points, variables=None):
+    """The example set of a list of {variable: value} points; variables
+    sorted by name unless given."""
+    points = list(points)
+    if variables is None:
+        variables = sorted({v for p in points for v in p})
+    vs = tuple(variables)
+    return ExampleSet(vs, tuple([tuple([int(p[v]) for v in vs])
+                                 for p in points]))
+
+
+def enumerate_trees(g, nt, depth):
+    """Every tree of height <= depth derivable from nt, each exactly once.
+
+    Deterministic order: by height, then production declaration order, then
+    child combinations left to right.  A leaf has height 1; alias
+    productions add no node and no height.
+    """
+    upto = {n: [] for n, _ in g.nonterminals}
+    seen = {n: set() for n, _ in g.nonterminals}
+
+    def materialize(a, h):
+        if isinstance(a, Term):
+            return [a] if h >= 1 else []
+        return [t for t in upto[a] if height(t) <= h]
+
+    for h in range(1, depth + 1):
+        added = True
+        # alias productions may chain; iterate until the level is stable
+        while added:
+            added = False
+            for p in g.productions:
+                if p.is_alias:
+                    for t in list(upto[p.args[0]]):
+                        if height(t) <= h and t not in seen[p.lhs]:
+                            seen[p.lhs].add(t)
+                            upto[p.lhs].append(t)
+                            added = True
+                    continue
+                if p.symbol.rank == 0:
+                    t = Term(p.symbol)
+                    if t not in seen[p.lhs]:
+                        seen[p.lhs].add(t)
+                        upto[p.lhs].append(t)
+                        added = True
+                    continue
+                pools = [materialize(a, h - 1) for a in p.args]
+                if any(not pool for pool in pools):
+                    continue
+                for combo in itertools.product(*pools):
+                    t = Term(p.symbol, tuple(combo))
+                    if t not in seen[p.lhs]:
+                        seen[p.lhs].add(t)
+                        upto[p.lhs].append(t)
+                        added = True
+    yield from sorted(upto.get(nt, []), key=height)
+
+
+def reachable_values(g, nt, depth, e, max_values=200_000):
+    """Output vector -> one representative tree, over all trees of height
+    <= depth from nt.  Equivalent trees are merged as they are built, so
+    this scales where full tree enumeration cannot; it is the bounded
+    oracle for the combine-over-all-derivations semantics."""
+    banks = {n: {} for n, _ in g.nonterminals}
+
+    def settle_aliases():
+        moved = True
+        while moved:
+            moved = False
+            for p in g.productions:
+                if not p.is_alias:
+                    continue
+                for v, t in list(banks[p.args[0]].items()):
+                    if v not in banks[p.lhs]:
+                        banks[p.lhs][v] = t
+                        moved = True
+
+    def argvals(a):
+        if isinstance(a, Term):
+            return [(eval_term(a, e), None)]
+        return list(banks[a].items())
+
+    for _ in range(depth):
+        fresh = []
+        for p in g.productions:
+            if p.is_alias:
+                continue
+            if p.symbol.rank == 0:
+                t = Term(p.symbol)
+                v = eval_term(t, e)
+                if v not in banks[p.lhs]:
+                    fresh.append((p.lhs, v, t))
+                continue
+            pools = [argvals(a) for a in p.args]
+            if any(not pool for pool in pools):
+                continue
+            for combo in itertools.product(*pools):
+                children = tuple(a if isinstance(a, Term) else t
+                                 for a, (_, t) in zip(p.args, combo))
+                vec = apply_symbol(p.symbol, [v for v, _ in combo])
+                if vec not in banks[p.lhs]:
+                    fresh.append((p.lhs, vec, Term(p.symbol, children)))
+        for lhs, v, t in fresh:
+            if v not in banks[lhs]:
+                banks[lhs][v] = t
+        settle_aliases()
+        if sum(len(b) for b in banks.values()) > max_values:
+            raise GrammarError(
+                f"value enumeration exceeded {max_values} entries")
+    return dict(banks.get(nt, {}))
+
+
+# --- abstract domains and fixpoints -----------------------------------------
+
+def kleene_solve(sys, max_steps=200):
+    """Plain iteration to a fixpoint; diverges on star-requiring systems,
+    so it is compared with `npa_solve` only where it converges."""
+    nu = {x: sl.ZERO for x in sys.equations}
+    for _ in range(max_steps):
+        new = {}
+        for x, monos in sys.equations.items():
+            total = nu[x]
+            for m in monos:
+                total = total.combine(monomial_value(m, nu))
+            new[x] = total
+        if new == nu:
+            return nu
+        nu = new
+    raise RuntimeError("no fixpoint within the step budget")
+
+
+def ite_abstract(bset, sl1, sl2):
+    """Exact conditional on abstract values: for every guard pattern,
+    the true coordinates come from the then-value and the rest from the
+    else-value."""
+    out = sl.ZERO
+    for b in sorted(bset, reverse=True):
+        out = out.combine(sl1.project(b).extend(sl2.project(neg(b))))
+    return out
+
+
+def parse_mask(s):
+    return tuple([c == "t" for c in s])
+
+
+def proj_z(v, b):
+    """Zero out the coordinates where b is false."""
+    return tuple([x if m else 0 for x, m in zip(v, b)])
+
+
+def abs_less_than(sl1, sl2, solver):
+    """`LessThan` of two values with a fresh cache."""
+    return LessThanCache(solver).abs_less_than(sl1, sl2)
+
+
+# --- formulas ---------------------------------------------------------------
+
+def free_vars(f):
+    if f.op == "atom":
+        return f.atom[0].variables() | f.atom[2].variables()
+    if f.op == "exists":
+        return free_vars(f.args[0]) - set(f.bound)
+    out = set()
+    for g in f.args:
+        out |= free_vars(g)
+    return out
+
+
+def dnf_branches(f):
+    """DNF of a formula; bound variables are freshened to q1, q2, ..."""
+    return [b for b, _ in lg._branches(f)]
+
+
+def branch_system(b):
+    """The ILP system of one DNF branch, built eagerly: a row per atom
+    (lhs - rhs <rel> 0) over the variables of every atom, those whose
+    coefficients cancel included, and the bound ones, nonneg where the
+    branch says so."""
+    names = set(b.nonneg) | set(b.free_bound)
+    cons = []
+    for lhs, rel, rhs in b.atoms:
+        diff = lg.lin_sub(lhs, rhs)
+        cons.append(ilp.constraint(dict(diff.coeffs), rel, -diff.const))
+        names |= lhs.variables() | rhs.variables()
+    return ilp.system({v: v in b.nonneg for v in sorted(names)}, cons)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import reachable_values
 from unrealizer import approx
 from unrealizer import grammar as gr
 from unrealizer import logic as lg
@@ -92,7 +93,7 @@ def test_predabs_soundness_on_enumerated_trees():
         for nt, sort in p.grammar.nonterminals:
             if sort != gr.INT:
                 continue
-            for vec in gr.reachable_values(p.grammar, nt, 6, e):
+            for vec in reachable_values(p.grammar, nt, 6, e):
                 assert dom.abstract(vec) <= nu[nt]
 
 

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
+from oracles import abs_less_than, parse_mask, proj_z
 from unrealizer import booldom
 from unrealizer import semilinear as sl
 from unrealizer.booldom import (
-    LessThanCache, _Pair, abs_and, abs_less_than, abs_not,
-    all_true, bset_str, conj, mask_str, neg, parse_mask, proj_z,
+    LessThanCache, _Pair, abs_and, abs_not, all_true, bset_str, conj,
+    mask_str, neg,
 )
 from unrealizer.ilp import BudgetExceeded, Solver, constraint, system
 

@@ -24,7 +24,7 @@ def _run(capsys, *argv):
 
 def test_check_unrealizable_exit_zero(capsys):
     code, out, _ = _run(capsys, "check", str(PROBLEMS / "g1.sy"),
-                        "--seed", "0", "--sequential", "--json")
+                        "--seed", "0", "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["verdict"] == "Unrealizable"
@@ -101,8 +101,7 @@ def test_human_output_includes_witness(capsys, tmp_path):
 
 
 def test_sequential_runs_are_byte_identical(capsys):
-    args = ("check", str(PROBLEMS / "g1.sy"), "--seed", "0",
-            "--sequential", "--json")
+    args = ("check", str(PROBLEMS / "g1.sy"), "--seed", "0", "--json")
     outs = {_run(capsys, *args)[1] for _ in range(3)}
     assert len(outs) == 1
 
@@ -193,10 +192,42 @@ def test_parse_error_reports_position(capsys, tmp_path):
 
 
 def test_conflicting_modes_rejected(capsys):
-    # --parallel is not an option: the loop is always sequential
+    # --parallel and --sequential are not options: the loop is always
+    # sequential
+    for flag in ("--parallel", "--sequential"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", str(PROBLEMS / "g1.sy"), flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_problem_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
+    bad = tmp_path / "bad.sy"
+    bad.write_bytes(b"\xff\xfe(set-logic LIA)")
     with pytest.raises(SystemExit) as exc:
-        cli.main(["check", str(PROBLEMS / "g1.sy"), "--parallel"])
+        cli.main(["check", str(bad)])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} is not UTF-8 text: ")
+    assert err.count("\n") == 1
+
+
+def test_unwritable_output_paths_are_usage_errors(capsys, tmp_path):
+    out = tmp_path / "missing" / "x.smt2"
+    code, stdout, err = _run(capsys, "export-horn", str(PROBLEMS / "g1.sy"),
+                             "--examples", "x=1", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and str(out) in err
+    assert err.count("\n") == 1
+    # --export-smt names a directory; an existing file cannot be one
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, stdout, err = _run(capsys, "check", str(PROBLEMS / "gconst.sy"),
+                             "--seed", "0", "--max-rounds", "2",
+                             "--export-smt", str(taken))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and str(taken) in err
+    assert err.count("\n") == 1
 
 
 def test_flags_only_on_the_commands_that_read_them(capsys):

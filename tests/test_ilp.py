@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from unrealizer import ilp
 
 
 def solve(variables, constraints, budget=10 ** 6):
-    return ilp.feasible(ilp.system(variables, constraints), budget)
+    return ilp.Solver(budget).feasible(ilp.system(variables, constraints))
 
 
 def test_simple_equality_sat():
@@ -130,12 +131,14 @@ def test_against_enumeration_oracle():
         assert got.status == ("sat" if expect else "unsat")
 
 
-def test_budget_exhaustion_reports_unknown():
-    variables = {f"x{i}": False for i in range(4)}
-    constraints = [ilp.constraint({f"x{i}": 2 for i in range(4)}, "=", 5)]
-    res = solve(variables, constraints, budget=1)
-    # one node is never enough to finish branching on this system
-    assert res.status in ("unknown", "unsat")
+def test_budget_exhaustion_raises():
+    # the root relaxation's vertex x = 7/2 is fractional, so the search
+    # needs a second node, beyond a budget of one
+    with pytest.raises(ilp.BudgetExceeded):
+        solve({"x": True, "y": True},
+              [ilp.constraint({"x": 2, "y": 3}, "=", 7)], budget=1)
+    assert solve({"x": True, "y": True},
+                 [ilp.constraint({"x": 2, "y": 3}, "=", 7)]).status == "sat"
 
 
 def test_solver_budget_raises():
@@ -305,6 +308,25 @@ def test_export_smtlib_stable(tmp_path):
     solver = ilp.Solver(export_dir=str(tmp_path))
     solver.feasible(sys)
     assert (tmp_path / "query00001.smt2").read_text() == a
+
+
+def test_export_smtlib_writes_negative_numbers_as_smtlib_numerals(tmp_path):
+    # SMT-LIB numerals are nonnegative and `-2` reads as a symbol, so
+    # negative coefficients and right-hand sides are written (- n)
+    sys = ilp.system({"x": True, "y": False},
+                     [ilp.constraint({"x": -2, "y": 1}, "<=", -3),
+                      ilp.constraint({"x": 1, "y": -3}, "<", -1)])
+    solver = ilp.Solver(export_dir=str(tmp_path))
+    assert solver.feasible(sys).status == "sat"
+    text = (tmp_path / "query00001.smt2").read_text()
+    assert text == ("(set-logic QF_LIA)\n"
+                    "(declare-const x Int)\n"
+                    "(declare-const y Int)\n"
+                    "(assert (>= x 0))\n"
+                    "(assert (<= (+ (* (- 2) x) (* 1 y)) (- 3)))\n"
+                    "(assert (< (+ (* 1 x) (* (- 3) y)) (- 1)))\n"
+                    "(check-sat)\n")
+    assert re.search(r"-\d", text) is None
 
 
 def propagation_system(rng, box=5):
@@ -593,16 +615,16 @@ def test_closure_passed_to_branch_and_bound_keeps_system_row_order():
         variables = {v: True for v in names}
         sys = ilp.system(variables, rows)
         try:
-            want = ilp.feasible(sys, 2000)
-            reversed_sys = ilp.feasible(ilp.system(variables, rows[::-1]),
-                                        2000)
+            want = ilp.Solver(2000).feasible(sys)
+            reversed_sys = ilp.Solver(2000).feasible(
+                ilp.system(variables, rows[::-1]))
         except ilp.BudgetExceeded:
             continue
         cl = ilp.Closure().add(rows[::-1], variables.items())
         if cl.verdict() is not None:
             continue
         checked += 1
-        assert ilp.feasible(sys, 2000, cl) == want, rows
+        assert ilp.Solver(2000).feasible(sys, closure=cl) == want, rows
         differs += reversed_sys != want
     assert checked >= 40 and differs >= 5, (checked, differs)
 
@@ -612,12 +634,13 @@ def test_closure_of_another_system_is_refused():
     cl = ilp.Closure().add(rows, [("x", True), ("y", True)])
     other = ilp.system({"x": True, "y": True},
                        rows + [ilp.constraint({"x": 1, "y": -1}, "<=", 1)])
+    solver = ilp.Solver()
     with pytest.raises(ValueError):
-        ilp.feasible(other, closure=cl)
+        solver.feasible(other, closure=cl)
     with pytest.raises(ValueError):
-        ilp.feasible(ilp.system({"x": True, "y": False}, rows), closure=cl)
-    assert ilp.feasible(ilp.system({"x": True, "y": True}, rows),
-                        closure=cl).status == "sat"
+        solver.feasible(ilp.system({"x": True, "y": False}, rows), closure=cl)
+    assert solver.feasible(ilp.system({"x": True, "y": True}, rows),
+                           closure=cl).status == "sat"
 
 
 def test_solver_answers_from_the_closure_and_counts_only_open_systems(
@@ -640,7 +663,8 @@ def test_solver_answers_from_the_closure_and_counts_only_open_systems(
                           [ilp.constraint({"x": 2, "y": -1}, "<=", 3)])
     cl = ilp.Closure().add(open_sys.constraints, open_sys.variables)
     assert cl.system() == open_sys
-    assert solver.feasible(open_sys, closure=cl) == ilp.feasible(open_sys)
+    assert solver.feasible(open_sys, closure=cl) == \
+        ilp.Solver().feasible(open_sys)
     assert solver.queries == 1
     assert [p.name for p in out.iterdir()] == ["query00001.smt2"]
 

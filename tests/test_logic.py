@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oracles import branch_system, dnf_branches, free_vars
 from unrealizer import logic as lg
 from unrealizer import semilinear as sl
 from unrealizer.frontend import PointSpec
@@ -41,8 +42,8 @@ def test_connective_shortcuts():
 
 def test_free_vars():
     f = lg.exists(("k",), lg.atom(lg.lin({"x": 1}), "=", lg.lin({"k": 2})))
-    assert lg.free_vars(f) == {"x"}
-    assert lg.free_vars(lg.conj(f, lg.atom(lg.lin({"y": 1}), "<", 0))) == \
+    assert free_vars(f) == {"x"}
+    assert free_vars(lg.conj(f, lg.atom(lg.lin({"y": 1}), "<", 0))) == \
         {"x", "y"}
 
 
@@ -176,7 +177,7 @@ def test_dnf_branches_freshen_bound_vars():
     f = lg.conj(inner, lg.exists(("k",),
                                  lg.atom(lg.lin({"y": 1}), "=",
                                          lg.lin({"k": 2}, 1)), nonneg=False))
-    (b,) = lg.dnf_branches(f)
+    (b,) = dnf_branches(f)
     assert b.nonneg == {"q1"}
     assert b.free_bound == {"q2"}
     names = {v for a in b.atoms for t in (a[0], a[2]) for v in t.variables()}
@@ -193,7 +194,7 @@ def test_dnf_branches_order_and_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        branches = lg.dnf_branches(f)
+        branches = dnf_branches(f)
         # nothing the call built is left for the cyclic collector
         assert gc.collect() == 0
     finally:
@@ -306,18 +307,6 @@ def test_render_goldens():
         "(exists ((l1 Int)) (and (>= l1 0) (= o1 (* 3 l1))))"
 
 
-def test_to_smtlib_byte_stable():
-    f = lg.conj(lg.atom(lg.lin({"b": 1}), "<", lg.lin({"a": 1})),
-                lg.atom(lg.lin({"a": 1}), "<=", 10))
-    s1, s2 = lg.to_smtlib(f), lg.to_smtlib(f)
-    assert s1 == s2
-    lines = s1.splitlines()
-    assert lines[0] == "(set-logic LIA)"
-    assert lines[1] == "(declare-const a Int)"
-    assert lines[2] == "(declare-const b Int)"
-    assert lines[-1] == "(check-sat)"
-
-
 def reference_dnf(g, renaming, fresh):
     """The eager DNF expansion the lazy walker replaced: whole branch lists
     per subformula, cross products at every conjunction."""
@@ -377,11 +366,11 @@ def test_lazy_walk_matches_eager_dnf_and_branch_loop():
             x, y = lg.lin({"x": 1}), lg.lin({"y": 1})
             f = lg.conj(lg.atom(x, "=", rng.randint(-3, 3)),
                         lg.atom(y, "=", rng.randint(-3, 3)), f)
-        branches = lg.dnf_branches(f)
+        branches = dnf_branches(f)
         assert branches == reference_dnf(lg.nnf(f), {}, itertools.count(1))
         expected = ("unsat", None)
         for b in branches:  # the eager loop: one ILP call per branch
-            res = Solver().feasible(lg.branch_system(b))
+            res = Solver().feasible(branch_system(b))
             if res.status == "sat":
                 expected = ("sat", dict(res.witness))
                 break
@@ -401,11 +390,11 @@ def test_decide_survives_a_partial_conjunction_hard_for_the_ilp():
     split = lg.disj(lg.conj(lg.atom(b, "<=", 5), lg.atom(c, "<=", 5)),
                     lg.atom(b, ">=", 100))
     f = lg.exists(("a", "b", "c"), lg.conj(*hard, split))
-    (first, _) = lg.dnf_branches(f)
+    (first, _) = dnf_branches(f)
     partial = lg.Branch(first.atoms[:2], first.nonneg)
     with pytest.raises(BudgetExceeded):
-        Solver(node_budget=5000).feasible(lg.branch_system(partial))
-    res = Solver(node_budget=5000).feasible(lg.branch_system(first))
+        Solver(node_budget=5000).feasible(branch_system(partial))
+    res = Solver(node_budget=5000).feasible(branch_system(first))
     assert lg.decide(f, Solver(node_budget=5000)) == \
         ("sat", dict(res.witness))
 
@@ -417,8 +406,8 @@ def test_decide_shares_atom_rows_and_keeps_cancelled_variables():
     f = lg.conj(lg.atom(lg.lin({"x": 1, "y": 1}), "=", lg.lin({"y": 1}, 3)),
                 lg.disj(lg.atom(x, "<", 0), lg.atom(x, ">", 1)))
     expected = None
-    for b in lg.dnf_branches(f):
-        res = Solver().feasible(lg.branch_system(b))
+    for b in dnf_branches(f):
+        res = Solver().feasible(branch_system(b))
         if res.status == "sat":
             expected = dict(res.witness)
             break
@@ -427,10 +416,11 @@ def test_decide_shares_atom_rows_and_keeps_cancelled_variables():
     assert status == "sat"
     assert witness == expected
     assert list(witness) == list(expected)
-    # one dict of rows shared across branches builds the same systems
+    # one dict of rows shared across branches builds each atom's row once,
+    # and each branch's closure holds the branch's system
     rows = {}
-    for b in lg.dnf_branches(f):
-        assert lg.branch_system(b, rows) == lg.branch_system(b)
+    for b, closure in lg._branches(f, Solver(), rows):
+        assert closure.system() == branch_system(b)
     assert len(rows) == 3
 
 
@@ -442,6 +432,6 @@ def test_branch_closures_hold_the_branch_systems():
     for _ in range(60):
         f = _random_formula(rng, 4)
         for b, closure in lg._branches(f, Solver(), {}):
-            assert closure.system() == lg.branch_system(b), f
+            assert closure.system() == branch_system(b), f
             seen += 1
     assert seen >= 60

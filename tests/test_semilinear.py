@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from oracles import sls_size
 from unrealizer import ilp
 from unrealizer.semilinear import (
-    ZERO, LinearSet, SemiLinearSet, combine_all, linset, one, prune, singleton, sls,
+    ZERO, LinearSet, combine_all, linset, one, prune, singleton, sls,
 )
 
 
@@ -81,8 +82,8 @@ def test_project():
 
 def test_size():
     a = sls([linset((1, 2), [(3, 4)]), linset((0, 0))])
-    assert a.size() == 3
-    assert ZERO.size() == 0
+    assert sls_size(a) == 3
+    assert sls_size(ZERO) == 0
 
 
 def test_gamma_bounded_matches_brute_force():
@@ -90,11 +91,6 @@ def test_gamma_bounded_matches_brute_force():
     for _ in range(50):
         a = random_sls(rng, dim=2)
         assert a.gamma_bounded(3) == brute_force_gamma(a, 3)
-
-
-def test_json_round_trip():
-    a = sls([linset((1, -2), [(3, 4), (-1, 0)]), linset((0, 0))])
-    assert SemiLinearSet.from_json(a.to_json()) == a
 
 
 def test_dimension_mismatch_rejected():

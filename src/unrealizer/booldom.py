@@ -6,15 +6,15 @@ compares two semi-linear integer abstractions: a vector b belongs to the
 result iff some concrete o1, o2 drawn from the two concretizations satisfy
 b = (o1 < o2) coordinatewise.  A bounded concretization scan first finds
 cheap positive witnesses.  The rest is a depth-first search over
-coordinates that fixes one sign per level: a refuted prefix cuts off all
-of its extensions at once, and each full-length pattern left is decided
-by exact integer feasibility.  A prefix one sign longer adds one row to
-its parent's system, so its `ilp.Closure` (exact bound propagation) is
-its parent's extended by that row, which is the closure of the whole
-prefix system since propagation is monotone.  Each prefix goes to the
-solver with its closure, which answers from the closure when propagation
-refutes the prefix or pins every multiplier, and sends only the prefixes
-it leaves open to branch and bound.
+coordinates that fixes one sign per level: every prefix the scan did not
+witness is decided by exact integer feasibility, and a refuted prefix
+cuts off all of its extensions at once.  A prefix one sign longer adds
+one row to its parent's system, so its `ilp.Closure` (exact bound
+propagation) is its parent's extended by that row, which is the closure
+of the whole prefix system since propagation is monotone.  Each prefix
+goes to the solver with its closure, which answers from the closure when
+propagation rules the prefix out or pins every multiplier, and sends
+only the prefixes it leaves open to branch and bound.
 """
 
 from __future__ import annotations
@@ -138,8 +138,8 @@ class LessThanCache:
         witnessed = {p[:k] for p in found for k in range(1, d + 1)}
         # depth first over coordinates.  A prefix carries the component
         # pairs not yet refuted for it, and a child drops pairs only up to
-        # the first one it cannot refute.  A full-length pattern is decided
-        # exactly, so its first kept pair is feasible.
+        # the first one it cannot refute.  Every prefix is decided exactly,
+        # so a full-length pattern's first kept pair is feasible.
         stack = [((), [self._pair(c1, c2) for c1 in sl1.components
                         for c2 in sl2.components])]
         while stack:
@@ -151,19 +151,16 @@ class LessThanCache:
                 child = prefix + (bit,)
                 i = 0
                 if child not in witnessed:
-                    while i < len(pairs) and self._refuted(
-                            pairs[i], child, len(child) == d):
+                    while i < len(pairs) and self._refuted(pairs[i], child):
                         i += 1
                 if i < len(pairs):
                     stack.append((child, pairs[i:]))
         return frozenset(found)
 
-    def _refuted(self, pair: _Pair, prefix: BoolVec, exact: bool) -> bool:
-        """Whether the prefix's system has no integer point: exactly for a
-        full-length pattern, as a pruning check otherwise.  The solver
-        answers from the prefix's closure where propagation settles it."""
+    def _refuted(self, pair: _Pair, prefix: BoolVec) -> bool:
+        """Whether the prefix's system has no integer point, decided
+        exactly.  The solver answers from the prefix's closure where
+        propagation settles it."""
         closure = pair.closure(prefix)
-        if exact:
-            return self.solver.feasible(closure.system(),
-                                        closure=closure).status != "sat"
-        return self.solver.refutes(closure.system(), closure)
+        return self.solver.feasible(closure.system(),
+                                    closure=closure).status == "unsat"

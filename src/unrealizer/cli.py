@@ -181,7 +181,12 @@ def _cmd_check(args):
     problem = _load(args.file)
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("UNREAL_SEED", "0"))
+        text = os.environ.get("UNREAL_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise SystemExit(_usage_error(
+                f"$UNREAL_SEED is not an integer: {text!r}")) from None
     budgets = cegis.Budgets(seconds=args.budget_seconds,
                             max_size=args.max_term_size,
                             max_rounds=args.max_rounds)

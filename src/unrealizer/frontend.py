@@ -151,9 +151,23 @@ def _parse_sort(node):
     return _SORTS[name]
 
 
+def _negated_numeral(node):
+    """-n for a node `(- n)` on a numeral n, the SMT-LIB spelling of a
+    negative constant; None for any other node."""
+    if node.kind != "list" or len(node.value) != 2:
+        return None
+    op, arg = node.value
+    if op.kind != "sym" or op.value != SPELLING[gr.MINUS] or arg.kind != "int":
+        return None
+    return -arg.value
+
+
 def _parse_arg(node, nts, variables):
     if node.kind == "int":
         return leaf(num(node.value))
+    n = _negated_numeral(node)
+    if n is not None:
+        return leaf(num(n))
     name = _expect_sym(node, "a nonterminal, variable or literal")
     if name in nts:
         return name
@@ -172,6 +186,9 @@ def _parse_production(lhs, node, nts, variables):
         if name in variables:
             return Production(lhs, var(name), ())
         raise ParseError(f"unknown symbol {name!r}", node.line, node.col)
+    n = _negated_numeral(node)
+    if n is not None:
+        return Production(lhs, num(n), ())
     items = node.value
     if not items or items[0].kind != "sym":
         raise ParseError("expected an operator application", node.line, node.col)
@@ -448,7 +465,7 @@ def _format_arg(a):
         return a
     sym = a.symbol
     if sym.kind == gr.NUM:
-        return str(sym.value)
+        return numeral(sym.value)
     if sym.kind == gr.VAR:
         return sym.name
     raise ValueError(f"cannot print argument {a}")

@@ -24,8 +24,11 @@ Bland's rule), and integrality is recovered by branch and bound.  Before
 the first branch, the equality rows are checked for an integer solution
 (Hermite normal form), which settles lattice gaps outright.  Completeness
 on unbounded polyhedra comes from an a-priori magnitude bound: if an
-integer solution exists at all, one exists inside a computable box, so
-every search tree is finite.
+integer solution exists at all, one exists inside a computable box.  The
+search deepens its box from |x| <= 16 by squaring up to that bound, so a
+dive along an unbounded ray of the relaxation is cut off early, every
+search tree is finite, and the last box makes "unsat" exact.  Every
+prefix, partial conjunction, branch and leaf is decided this one way.
 
 Every sat answer is re-verified by substituting the witness into all
 constraints; a failed recheck raises, it is never reported as a result.
@@ -539,9 +542,24 @@ def _branch_and_bound(sys: IlpSystem, closure: Closure,
     propagation reduced, so the relaxation, its vertices and hence the
     witness are those of the full system.  Branch bounds may descend
     without the LP ever going infeasible (no integer point but rational
-    ones everywhere); the a-priori magnitude bound caps that descent, so
-    the answer "unsat" is exact.  A search that needs more than
-    `node_budget` nodes raises BudgetExceeded.
+    ones everywhere), and a depth-first search (Land & Doig 1960) that
+    follows an unbounded ray of the relaxation dives away from every
+    integer point.  So the search deepens its box: each pass skips a
+    node whose branch bounds leave [-box, box], box = min(R, the
+    magnitude bound) for R = 16, 256, 65536, ... (each R the square of
+    the last), and the next pass runs only if this one skipped a node
+    and found no point.  All passes share `node_budget`; a search that
+    needs more nodes raises BudgetExceeded.
+
+    A pass is finite: every branch on v moves one of v's bounds inward
+    by at least 1, a bound whose other side is open cannot pass the box,
+    and one with both sides set leaves finitely many moves.  The LP at a
+    node does not depend on the box, so a pass visits a subset of the
+    nodes of the pass at the magnitude bound, in the same order, and the
+    whole search costs at most one such tree per pass, of which there are
+    O(log log bound).  A pass that skipped no node searched that tree in
+    full, and the last pass is that tree, so the answer "unsat" is exact:
+    if an integer point exists, one lies within the magnitude bound.
     """
     varnames = [v for v, _ in sys.variables]
     constraints = closure.rows_of(sys)
@@ -551,49 +569,47 @@ def _branch_and_bound(sys: IlpSystem, closure: Closure,
                                      for v, nonneg in sys.variables}
     upper0: dict[str, int | None] = {v: None for v, _ in sys.variables}
 
-    stack = [(lower0, upper0)]
     nodes = 0
-    while stack:
-        lower, upper = stack.pop()
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceeded(f"ILP node budget {node_budget} exhausted")
-        out_of_box = False
-        for v in varnames:
-            lo = lower[v] if lower[v] is not None else -bound
-            up = upper[v] if upper[v] is not None else bound
-            if lo > up:
-                out_of_box = True
-                break
-        if out_of_box:
-            continue
-        point = _lp_feasible(varnames, lower, upper, constraints)
-        if point is None:
-            continue
-        frac_var = None
-        for v in varnames:
-            if point[v].denominator != 1:
-                frac_var = v
-                break
-        if frac_var is None:
-            w = {v: int(point[v]) for v in varnames}
-            _check_witness(sys.variables, sys.constraints, w)
-            return Feasibility("sat", w, nodes)
-        if nodes == 1 and not _equalities_integral(varnames, constraints):
+    radius = 16
+    while True:
+        box = min(radius, bound)
+        clipped = False
+        stack = [(lower0, upper0)]
+        while stack:
+            lower, upper = stack.pop()
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExceeded(f"ILP node budget {node_budget} exhausted")
+            if any((-box if lower[v] is None else lower[v])
+                   > (box if upper[v] is None else upper[v])
+                   for v in varnames):
+                clipped = True
+                continue
+            point = _lp_feasible(varnames, lower, upper, constraints)
+            if point is None:
+                continue
+            frac_var = None
+            for v in varnames:
+                if point[v].denominator != 1:
+                    frac_var = v
+                    break
+            if frac_var is None:
+                w = {v: int(point[v]) for v in varnames}
+                _check_witness(sys.variables, sys.constraints, w)
+                return Feasibility("sat", w, nodes)
+            if nodes == 1 and not _equalities_integral(varnames, constraints):
+                return Feasibility("unsat", None, nodes)
+            val = point[frac_var]
+            floor = val.numerator // val.denominator
+            up = dict(upper)
+            up[frac_var] = floor if upper[frac_var] is None else min(upper[frac_var], floor)
+            lo = dict(lower)
+            lo[frac_var] = floor + 1 if lower[frac_var] is None else max(lower[frac_var], floor + 1)
+            stack.append((lower, up))
+            stack.append((lo, upper))
+        if not clipped or box == bound:
             return Feasibility("unsat", None, nodes)
-        val = point[frac_var]
-        floor = val.numerator // val.denominator
-        up = dict(upper)
-        up[frac_var] = floor if upper[frac_var] is None else min(upper[frac_var], floor)
-        lo = dict(lower)
-        lo[frac_var] = floor + 1 if lower[frac_var] is None else max(lower[frac_var], floor + 1)
-        stack.append((lower, up))
-        stack.append((lo, upper))
-    return Feasibility("unsat", None, nodes)
-
-
-# Branch-and-bound nodes a pruning check may spend before it gives up.
-PRUNE_NODES = 1000
+        radius *= radius
 
 
 class Solver:
@@ -604,11 +620,13 @@ class Solver:
         self.export_dir = export_dir
         self.queries = 0
 
-    def feasible(self, sys: IlpSystem, node_budget: int | None = None,
+    def feasible(self, sys: IlpSystem,
                  closure: Closure | None = None) -> Feasibility:
         """Exact integer feasibility of sys: presolve, then branch and
-        bound on the LP relaxation, within node_budget nodes (default: the
-        solver's own); an exhausted budget raises BudgetExceeded.
+        bound on the LP relaxation, within the solver's node budget; an
+        exhausted budget raises BudgetExceeded.  Every prefix, partial
+        conjunction, branch and leaf of the searches in `booldom` and
+        `logic` asks this one question.
 
         Presolve is the system's `Closure`.  A caller that holds the
         closure of sys's rows, extended row by row by a prefix search,
@@ -626,18 +644,7 @@ class Solver:
         self.queries += 1
         if self.export_dir is not None:
             self._export(sys)
-        return _branch_and_bound(
-            sys, closure, self.node_budget if node_budget is None else node_budget)
-
-    def refutes(self, sys: IlpSystem, closure: Closure | None = None) -> bool:
-        """True iff sys is shown to have no integer solution within
-        PRUNE_NODES nodes.  False decides nothing: a search that prunes on
-        this answer still decides every leaf with the full budget."""
-        try:
-            budget = min(PRUNE_NODES, self.node_budget)
-            return self.feasible(sys, budget, closure).status == "unsat"
-        except BudgetExceeded:
-            return False
+        return _branch_and_bound(sys, closure, self.node_budget)
 
     def member(self, point: tuple[int, ...], ls) -> bool:
         """point in <base, gens>: some nonnegative integer combination works."""

@@ -5,8 +5,9 @@ declared inputs plus the function-output slot) and concretizations of
 abstract values (atoms over output coordinates ``o1..od`` with
 existentially quantified multiplier variables).  Deciding a formula
 walks its disjunctive normal form depth first, splitting one disjunction
-at a time.  A partial conjunction refuted before a split is dropped with
-all of its branches, and each branch left is decided exactly in turn.
+at a time.  Each partial conjunction before a split and each branch is
+decided exactly, by one feasibility check: a refuted partial conjunction
+is dropped with all of its branches, and the first sat branch decides.
 Each partial conjunction and branch carries an `ilp.Closure` (exact
 bound propagation) extended from its parent's by the atoms it added;
 propagation is monotone, so that is the closure of its whole system.
@@ -286,13 +287,14 @@ def _branches(f, solver=None, rows=None):
     disjunction whenever it gained atoms since its last check: its
     closure is extended by the new atoms' rows (the closure of a parent
     plus rows is the closure of the whole conjunction, so nothing is
-    propagated twice), and one the solver refutes, from the closure or by
-    branch and bound, is dropped with every branch extending it.  A
-    yielded branch's closure holds all of its atoms and variables, so its
-    `system()` is the branch's system: a row per atom, over the variables
-    of every atom (those whose coefficients cancel too) and the bound
-    ones, nonneg where the branch says so.  `rows` maps an atom to its
-    row and variables, built once per atom (`_atom_row`).
+    propagated twice), and one that `Solver.feasible` decides unsat, from
+    the closure or by exact branch and bound as for a branch, is dropped
+    with every branch extending it.  A yielded branch's closure holds all
+    of its atoms and variables, so its `system()` is the branch's system:
+    a row per atom, over the variables of every atom (those whose
+    coefficients cancel too) and the bound ones, nonneg where the branch
+    says so.  `rows` maps an atom to its row and variables, built once
+    per atom (`_atom_row`).
     """
     if rows is None:
         rows = {}
@@ -319,7 +321,8 @@ def _branches(f, solver=None, rows=None):
                     closure = _extend(closure, atoms[taken:], nonneg,
                                       free_bound, rows)
                     taken = len(atoms)
-                    if solver.refutes(closure.system(), closure):
+                    if solver.feasible(closure.system(),
+                                       closure=closure).status == "unsat":
                         break
                 for h in reversed(g.args):
                     stack.append(((h, todo), atoms, nonneg, free_bound,

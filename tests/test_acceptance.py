@@ -14,10 +14,9 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from oracles import abs_less_than, ite_abstract, reachable_values, sls_size
-from unrealizer import booldom, cegis, cli, clia, ilp, synth
+from unrealizer import booldom, cli, clia, ilp, synth
 from unrealizer import grammar as gr
 from unrealizer import semilinear as sl
 from unrealizer.cegis import Budgets, check_unrealizable, run_cegis
@@ -91,15 +90,16 @@ def test_03_conditional_end_to_end_unrealizable():
     assert time.perf_counter() - started < 30.0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the least guard fixpoint also contains (f,t): conditional "
-    "sums let 0 < Start hold on x=2 while x < 2 fails there, so a "
-    "three-pattern set is not a fixpoint")
-def test_03_conditional_guard_fixpoint_has_three_patterns():
+def test_03_conditional_guard_fixpoint_has_all_four_patterns():
+    # conditional sums let 0 < Start hold on x=2 while x < 2 fails there,
+    # so (f,t) joins (t,f), (t,t) and (f,f): the least fixpoint has all
+    # four patterns, and bounded enumeration derives each of them
     p = _problem("g2.sy")
-    res = clia.solve(p.grammar, _examples(p, [(1,), (2,)]))
-    assert res.value("BExp") == frozenset({(T, F), (T, T), (F, F)})
+    e = _examples(p, [(1,), (2,)])
+    res = clia.solve(p.grammar, e)
+    patterns = frozenset(itertools.product((T, F), repeat=2))
+    assert res.value("BExp") == patterns
+    assert set(reachable_values(p.grammar, "BExp", 5, e)) == patterns
 
 
 def _random_linear_grammar(rng):

@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from oracles import reachable_values
-from unrealizer import approx
 from unrealizer import grammar as gr
 from unrealizer import logic as lg
 from unrealizer.approx import horn_export, parity_domain, predabs_solve

@@ -5,9 +5,8 @@ import pytest
 
 from unrealizer import cegis, synth
 from unrealizer import grammar as gr
-from unrealizer.cegis import Budgets, CheckResult, Verdict, check_unrealizable, run_cegis
+from unrealizer.cegis import Budgets, Verdict, check_unrealizable, run_cegis
 from unrealizer.frontend import parse_problem, specialize
-from unrealizer.ilp import Solver
 
 PROBLEMS = Path(__file__).parent / "problems"
 

@@ -130,6 +130,17 @@ def test_seed_env_fallback(capsys, monkeypatch):
     assert json.loads(flagged)["examples"] == [[-1], [0]]
 
 
+def test_bad_seed_in_the_environment_is_usage_error(monkeypatch):
+    monkeypatch.setenv("UNREAL_SEED", "abc")
+    out = _run_child("check", str(PROBLEMS / "g1.sy"), "--json")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ")
+    assert len(out.stderr.splitlines()) == 1
+    assert "UNREAL_SEED" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_predabs_mode_flag(capsys):
     code, out, _ = _run(capsys, "check-examples", str(PROBLEMS / "parity.sy"),
                         "--examples", "x=3", "--mode", "predabs", "--json")

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from oracles import ite_abstract, reachable_values

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -158,7 +159,7 @@ def test_specialize_zero_arity():
 
 
 NEGATIVE = """(set-logic LIA)
-(synth-fun f ((x Int)) Int ((Start Int (x -3 (+ Start Start)))))
+(synth-fun f ((x Int)) Int ((Start Int (x -3 (+ Start Start) (+ Start -4)))))
 (constraint (= (f x) (- (- 0 (* 2 x)) 5)))
 (check-synth)
 """
@@ -177,8 +178,11 @@ def test_format_round_trip():
         assert q.logic_name == p.logic_name
         # a second round trip is byte-stable
         assert fe.format_problem(q) == fe.format_problem(p)
-    # the specification writes negative numbers as SMT-LIB numerals; a
-    # grammar leaf stays -3, since a production (- 3) would be a Minus
-    text = fe.format_problem(fe.parse_problem(NEGATIVE))
-    assert "(Start Int (x -3 (+ Start Start)))" in text
+    # negative numbers are written as SMT-LIB numerals, in the grammar as
+    # in the specification: a reader takes -3 for a symbol
+    p = fe.parse_problem(NEGATIVE)
+    text = fe.format_problem(p)
+    assert "(Start Int (x (- 3) (+ Start Start) (+ Start (- 4))))" in text
+    assert not re.search(r"-\d", text)
+    assert gr.num(-3) in [q.symbol for q in p.grammar.productions]
     assert "(constraint (= (f x) (+ (* (- 2) x) (- 5))))" in text

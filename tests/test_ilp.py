@@ -131,6 +131,36 @@ def test_against_enumeration_oracle():
         assert got.status == ("sat" if expect else "unsat")
 
 
+def test_unbounded_relaxations_against_enumeration_oracle():
+    # nonneg systems whose relaxation is often unbounded: a depth-first
+    # search that follows the ray dives away from every integer point,
+    # and the deepening box must still decide each one well within budget
+    rng = random.Random(1)
+    names = ["a", "b", "c"]
+    variables = dict.fromkeys(names, True)
+    statuses = []
+    for _ in range(300):
+        rows = [ilp.constraint({v: rng.randint(-3, 3) for v in names},
+                               rng.choice(("<=", "<")), rng.randint(-6, 6))
+                for _ in range(2)]
+        got = solve(variables, rows, budget=2000)
+        expect = brute_force(variables, rows, box=29)
+        assert got.status == ("sat" if expect else "unsat"), rows
+        statuses.append(got.status)
+    assert statuses.count("sat") >= 100 and statuses.count("unsat") >= 30
+
+
+def test_ray_dive_system_is_sat_within_a_small_budget():
+    # (0, 2, 4) is a point, but the relaxation's vertex moves along an
+    # unbounded ray as the search branches: a search without a deepening
+    # box runs out of any budget here
+    got = solve({"a": True, "b": True, "c": True},
+                [ilp.constraint({"a": 2, "b": -1}, "<=", -2),
+                 ilp.constraint({"a": 2, "b": 2, "c": -3}, "<", -6)],
+                budget=100)
+    assert got.status == "sat"
+
+
 def test_budget_exhaustion_raises():
     # the root relaxation's vertex x = 7/2 is fractional, so the search
     # needs a second node, beyond a budget of one
@@ -651,7 +681,7 @@ def test_solver_answers_from_the_closure_and_counts_only_open_systems(
     assert solver.feasible(x3.system(), closure=x3) == \
         ilp.Feasibility("sat", {"x": 3}, 0)
     neg = x3.add([ilp.constraint({"x": 1}, "<=", 2)])
-    assert solver.refutes(neg.system(), neg)
+    assert solver.feasible(neg.system(), closure=neg).status == "unsat"
     # an unsat closure still takes in rows, so its system stays whole
     more = ilp.constraint({"x": 1}, "<=", 9)
     assert neg.add([more]).system().constraints == \

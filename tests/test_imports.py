@@ -1,12 +1,15 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package, and every test module, uses each name it
+imports."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).parent.parent / "src" / "unrealizer"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).parent
+SRC = TESTS.parent / "src" / "unrealizer"
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted(TESTS.glob("*.py")))
 
 
 def _unused_imports(source):
@@ -26,7 +29,9 @@ def _unused_imports(source):
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES,
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 

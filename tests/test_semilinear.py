@@ -4,9 +4,7 @@ import pytest
 
 from oracles import sls_size
 from unrealizer import ilp
-from unrealizer.semilinear import (
-    ZERO, LinearSet, combine_all, linset, one, prune, singleton, sls,
-)
+from unrealizer.semilinear import ZERO, linset, one, prune, singleton, sls
 
 
 def brute_force_gamma(a, budget):

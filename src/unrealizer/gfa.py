@@ -10,6 +10,7 @@ the mixed solver freezes or expands them.
 
 import heapq
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import semilinear as sl
 from .booldom import bset_str, mask_str
@@ -19,27 +20,23 @@ from .grammar import (
 )
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     var: str
     mask: tuple[bool, ...] | None = None  # projection applied to the value
 
 
-@dataclass(frozen=True)
-class IntMonomial:
+class IntMonomial(NamedTuple):
     coeff: sl.SemiLinearSet
     factors: tuple[Factor, ...] = ()
 
 
-@dataclass(frozen=True)
-class IteMonomial:
+class IteMonomial(NamedTuple):
     guard: object      # nonterminal name or a frozen set of Boolean vectors
     then_arg: object   # nonterminal name or a constant SemiLinearSet
     else_arg: object
 
 
-@dataclass(frozen=True)
-class BoolMonomial:
+class BoolMonomial(NamedTuple):
     op: str            # "const", "copy", "not", "and" or "lessthan"
     args: tuple = ()   # names, Boolean-vector sets, or SemiLinearSets
 

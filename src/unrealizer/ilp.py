@@ -32,21 +32,30 @@ prefix, partial conjunction, branch and leaf is decided this one way.
 
 Every sat answer is re-verified by substituting the witness into all
 constraints; a failed recheck raises, it is never reported as a result.
+
+`Solver.member` decides membership in a linear set with at most one
+generator g by arithmetic: p - u = lam * g for one integer lam >= 0,
+read off a nonzero coordinate of g by division.  Only a set with two or
+more generators makes a system.
+
+`Constraint`, `IlpSystem` and `Feasibility` are `typing.NamedTuple`s:
+they compare, order and hash as the tuples of their fields, as a frozen
+dataclass does, but in C, which matters on the hot paths.  They are never
+iterated, unpacked or mixed with plain tuples in one dict or set.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .grammar import numeral
 
 EQ, LE, LT = "=", "<=", "<"
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     coeffs: tuple[tuple[str, int], ...]  # sorted by variable name, no zero coeffs
     rel: str                             # "=", "<=" or "<"
     rhs: int
@@ -63,8 +72,7 @@ def constraint(coeffs: dict[str, int], rel: str, rhs: int) -> Constraint:
     return Constraint(items, rel, int(rhs))
 
 
-@dataclass(frozen=True)
-class IlpSystem:
+class IlpSystem(NamedTuple):
     variables: tuple[tuple[str, bool], ...]  # (name, nonneg), sorted by name
     constraints: tuple[Constraint, ...]
 
@@ -78,8 +86,7 @@ def system(variables: dict[str, bool], constraints: list[Constraint]) -> IlpSyst
     return IlpSystem(tuple(sorted(variables.items())), tuple(constraints))
 
 
-@dataclass(frozen=True)
-class Feasibility:
+class Feasibility(NamedTuple):
     status: str                      # "sat" or "unsat"
     witness: dict[str, int] | None = None
     nodes: int = 0
@@ -145,12 +152,15 @@ def _phase1_simplex(rows: list[list[int]], nvars: int) -> list[Fraction] | None:
     the pivot sequence is exactly that of the rational simplex.
 
     The tableaux here are wide and sparse, and most pivots have p == den.
-    Such a pivot changes a row only in the columns where the pivot row is
-    nonzero, so `_eliminate` recomputes just those (the pivot row's
-    support, collected once per pivot).  The entries it writes are the
-    ones the full-row update writes, which keeps the rows, Bland's choice
-    of entering column, the ratio test's tie-break and hence the pivot
-    path and the vertex exactly as they are without it.
+    Such a pivot leaves a row whose entering entry is 0 as it is, and
+    changes any other row only in the columns where the pivot row is
+    nonzero, so `_eliminate` is called on just the rows that change and
+    updates just those columns in place (the pivot row's support,
+    collected once per pivot).  The entries it writes are the ones the
+    full-row update writes, which keeps the rows, Bland's choice of
+    entering column, the ratio test's tie-break and hence the pivot path
+    and the vertex exactly as they are without it.  The tableau is built
+    here, so `rows` is never changed.
     """
     m = len(rows)
     if m == 0:
@@ -191,13 +201,15 @@ def _phase1_simplex(rows: list[list[int]], nvars: int) -> list[Fraction] | None:
             return None
         prow = tab[leave]
         piv = prow[enter]
-        # when piv == den, only the pivot row's nonzero columns change
+        # when piv == den, only the rows with a nonzero entering entry
+        # change, and only on the pivot row's nonzero columns
         support = ([(j, y) for j, y in enumerate(prow) if y]
                    if piv == den else None)
-        for i in range(m):
-            if i != leave:
-                tab[i] = _eliminate(tab[i], prow, piv, den, enter, support)
-        obj = _eliminate(obj, prow, piv, den, enter, support)
+        for i, row in enumerate(tab):
+            if i != leave and (row[enter] or support is None):
+                tab[i] = _eliminate(row, prow, piv, den, enter, support)
+        if obj[enter] or support is None:
+            obj = _eliminate(obj, prow, piv, den, enter, support)
         den = piv
         basis[leave] = enter
 
@@ -220,19 +232,17 @@ def _eliminate(row: list[int], prow: list[int], piv: int, den: int,
     When piv == den, `support` lists the (column, entry) pairs where
     `prow` is nonzero.  An entry x outside the support then maps to
     (den * x - f * 0) / den = x, so only the support columns are
-    recomputed, on a copy of the row.  Each maps to x - f * y / den, a
-    division that is exact because den * x - f * y is divisible by den.
-    Every entry equals the one the full-row update gives, so the simplex
-    walks the same path either way.
+    recomputed, in place: the tableau's rows are built by the simplex
+    and belong to it.  Each maps to x - f * y / den, a division that is
+    exact because den * x - f * y is divisible by den.  Every entry
+    equals the one the full-row update gives, so the simplex walks the
+    same path either way.
     """
     f = row[col]
     if piv == den:
-        if f == 0:
-            return row
-        out = row[:]
         for j, y in support:
-            out[j] -= f * y // den
-        return out
+            row[j] -= f * y // den
+        return row
     if f == 0:
         return [piv * x // den for x in row]
     if den == 1:
@@ -647,12 +657,27 @@ class Solver:
         return _branch_and_bound(sys, closure, self.node_budget)
 
     def member(self, point: tuple[int, ...], ls) -> bool:
-        """point in <base, gens>: some nonnegative integer combination works."""
+        """point in <base, gens>: some nonnegative integer combination works.
+
+        With no generator that is point == base.  With one, g, it is
+        point - base = lam * g for an integer lam >= 0; lam is read off the
+        first coordinate where g is nonzero, by division, and checked on
+        every coordinate.  The one-variable system that says the same
+        would be decided by its closure, never counted, exported or
+        searched, so no answer or count depends on which decides it.
+        More generators make a system for `feasible`.
+        """
         if len(point) != len(ls.base):
             raise ValueError("dimension mismatch")
         diff = tuple([p - b for p, b in zip(point, ls.base)])
         if not ls.gens:
             return not any(diff)
+        if len(ls.gens) == 1:
+            (g,) = ls.gens
+            # `linset` drops zero generators, so g has a nonzero entry
+            j = next(j for j, x in enumerate(g) if x)
+            lam = diff[j] // g[j]  # floored: coordinate j checks it
+            return lam >= 0 and all(d == lam * x for d, x in zip(diff, g))
         cons = []
         for i, d in enumerate(diff):
             cons.append(constraint({f"l{j}": g[i] for j, g in enumerate(ls.gens)}, EQ, d))

@@ -17,7 +17,7 @@ bound.
 """
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import ilp
 from .grammar import numeral
@@ -25,8 +25,7 @@ from .grammar import numeral
 RELOPS = ("=", "<", "<=", ">", ">=", "!=")
 
 
-@dataclass(frozen=True, order=True)
-class LinTerm:
+class LinTerm(NamedTuple):
     """Integer-linear expression: sum of coeff*var products plus a constant."""
 
     coeffs: tuple[tuple[str, int], ...]
@@ -68,8 +67,7 @@ def lin_sub(a, b):
     return lin_add(a, lin_scale(b, -1))
 
 
-@dataclass(frozen=True)
-class LiaFormula:
+class LiaFormula(NamedTuple):
     """op is one of true/false/atom/and/or/not/exists.
 
     Atoms hold (lhs, relop, rhs); exists binds integer variables that
@@ -245,8 +243,7 @@ def nnf(f, negate=False):
     raise ValueError(f.op)
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """One DNF branch: a conjunction of normalized atoms."""
 
     atoms: tuple

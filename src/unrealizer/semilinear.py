@@ -14,19 +14,24 @@ with ZERO = {} (empty union) and ONE = {<0, {}>}.
 Values are canonical on construction: generators are deduplicated, sorted,
 and never zero; components are deduplicated and sorted; so structural
 equality is semantic equality of the written form.
+
+`LinearSet` and `SemiLinearSet` are `typing.NamedTuple`s.  They compare,
+order and hash as the plain tuples of their fields, exactly as a frozen
+ordered dataclass does, so the canonical orders and every set's iteration
+order are those of the tuples; the comparisons and hashes run in C, and
+`sls` and `prune` compare and hash components all the time.  A value is
+never iterated, unpacked or mixed with plain tuples in one dict or set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 Vector = tuple[int, ...]
 
 
-@dataclass(frozen=True, order=True)
-class LinearSet:
+class LinearSet(NamedTuple):
     base: Vector
     gens: tuple[Vector, ...]
 
@@ -57,8 +62,7 @@ def linset(base: Iterable[int], gens: Iterable[Iterable[int]] = ()) -> LinearSet
     return LinearSet(b, tuple(sorted(gs)))
 
 
-@dataclass(frozen=True)
-class SemiLinearSet:
+class SemiLinearSet(NamedTuple):
     components: tuple[LinearSet, ...]
 
     @property
@@ -178,16 +182,19 @@ def prune(a: SemiLinearSet, member: MemberFn) -> SemiLinearSet:
 
     <u1,V1> is dropped when some surviving <u2,V2> has V1 a subset of V2 and
     u1 a member of <u2,V2>; membership is decided by the caller-supplied
-    `member` (an exact integer feasibility check).  Removal never changes
-    the denoted set.  Deterministic: components are examined in canonical
-    order, and a component is only dropped in favour of one still alive.
+    `member` (an exact integer feasibility check; with one generator it is
+    a division).  A holder with no generators is never asked: it holds only
+    its base.  Removal never changes the denoted set.  Deterministic:
+    components are examined in canonical order, and a component is only
+    dropped in favour of one still alive.
     """
     comps = list(a.components)
     alive = [True] * len(comps)
     for i, c in enumerate(comps):
         ci_gens = set(c.gens)
         for j, d in enumerate(comps):
-            if i == j or not alive[j]:
+            # a holder without generators holds no other (distinct) component
+            if i == j or not alive[j] or not d.gens:
                 continue
             if ci_gens <= set(d.gens) and member(c.base, d):
                 alive[i] = False

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from unrealizer import ilp
+from unrealizer.semilinear import linset
 
 
 def solve(variables, constraints, budget=10 ** 6):
@@ -713,3 +714,61 @@ def test_verdict_rechecks_the_rows_taken_in_since_the_last_recheck():
     bad.fixed["y"] = 4
     with pytest.raises(AssertionError):
         bad.verdict()
+
+
+def test_one_generator_membership_matches_the_ilp_it_replaces():
+    # p in <u, {g}> by division, against the one-variable system
+    # g[i] * l0 = p[i] - u[i], l0 >= 0, written out from the definition
+    rng = random.Random(1806)
+    solver = ilp.Solver()
+    answers = {True: 0, False: 0}
+    for _ in range(300):
+        d = rng.randint(1, 4)
+        u = tuple(rng.choice((0, rng.randint(-3, 3))) for _ in range(d))
+        g = [rng.choice((0, rng.randint(-3, 3))) for _ in range(d)]
+        if not any(g):
+            g[rng.randrange(d)] = rng.choice((-3, -2, -1, 1, 2, 3))
+        g = tuple(g)
+        ls = linset(u, [g])
+        points = [tuple(b + lam * x for b, x in zip(u, g))
+                  for lam in range(-2, 4)]
+        for _ in range(4):  # off the ray, and mostly off the lattice
+            lam = rng.randint(-2, 3)
+            points.append(tuple(b + lam * x + rng.randint(-1, 1)
+                                for b, x in zip(u, g)))
+        if all(x % 2 == 0 for x in g):  # on the line, between lattice points
+            points.append(tuple(b + x // 2 for b, x in zip(u, g)))
+        for p in points:
+            want = ilp.Solver().feasible(ilp.system(
+                {"l0": True},
+                [ilp.constraint({"l0": x}, "=", a - b)
+                 for x, a, b in zip(g, p, u)])).status == "sat"
+            assert solver.member(p, ls) == want, (p, u, g)
+            answers[want] += 1
+    assert solver.queries == 0
+    assert min(answers.values()) > 300
+
+
+@pytest.mark.parametrize("d", [4, 8, 16])
+def test_cegis_leaf_simplex_matches_the_rational_vertex(d, monkeypatch):
+    # the leaf CEGIS builds on gconst: o_i = 1 + q1 against o_i > x_i
+    xs = [-44] + list(range(1, d))
+    names = [f"o{i + 1}" for i in range(d)]
+    cons = [ilp.constraint({o: 1, "q1": -1}, "=", 1) for o in names]
+    cons += [ilp.constraint({o: -1}, "<", -x) for o, x in zip(names, xs)]
+    sys = ilp.system({**{o: False for o in names}, "q1": True}, cons)
+    simplex = ilp._phase1_simplex
+    solved = []
+
+    def checked(rows, nvars):
+        before = [list(r) for r in rows]
+        point = simplex(rows, nvars)
+        assert rows == before  # the tableau is the simplex's own
+        assert point == reference_phase1(before, nvars)
+        solved.append(len(rows))
+        return point
+
+    monkeypatch.setattr(ilp, "_phase1_simplex", checked)
+    res = ilp.Solver().feasible(sys)
+    assert res.status == "sat" and res.nodes >= 1
+    assert res.witness["q1"] == d - 1 and solved[0] == 2 * d

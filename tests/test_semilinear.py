@@ -172,3 +172,48 @@ def test_semiring_laws_random_triples():
         left = a.extend(b.combine(c))
         right = a.extend(b).combine(a.extend(c))
         assert gammas_equal(left, right)
+
+
+def test_canonical_orders_do_not_depend_on_the_class():
+    # components and generators sort as the plain tuples of their fields
+    rng = random.Random(1807)
+    for _ in range(300):
+        dim = rng.randint(1, 3)
+        comps = []
+        for _ in range(rng.randint(0, 5)):
+            base = [rng.randint(-2, 2) for _ in range(dim)]
+            gens = [[rng.choice((0, rng.randint(-2, 2))) for _ in range(dim)]
+                    for _ in range(rng.randint(0, 3))]
+            ls = linset(base, gens)
+            assert ls.gens == tuple(sorted({tuple(g) for g in gens if any(g)}))
+            comps.append(ls)
+        got = [(c.base, c.gens) for c in sls(comps).components]
+        assert got == sorted({(c.base, c.gens) for c in comps})
+
+
+def _prune_asking_every_holder(a, member):
+    # prune as it read before holders without generators were skipped
+    comps = list(a.components)
+    alive = [True] * len(comps)
+    for i, c in enumerate(comps):
+        for j, d in enumerate(comps):
+            if i != j and alive[j] and set(c.gens) <= set(d.gens) \
+                    and member(c.base, d):
+                alive[i] = False
+                break
+    return sls([c for c, keep in zip(comps, alive) if keep])
+
+
+def test_prune_never_asks_a_generator_free_holder():
+    solver = ilp.Solver()
+    asked = []
+
+    def member(point, ls):
+        asked.append(ls)
+        return solver.member(point, ls)
+
+    rng = random.Random(1808)
+    for _ in range(300):
+        a = random_sls(rng, dim=rng.randint(1, 2), max_comps=5)
+        assert prune(a, member) == _prune_asking_every_holder(a, solver.member)
+    assert asked and all(ls.gens for ls in asked)

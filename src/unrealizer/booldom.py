@@ -8,11 +8,10 @@ b = (o1 < o2) coordinatewise.  A bounded concretization scan first finds
 cheap positive witnesses.  The rest is a depth-first search over
 coordinates that fixes one sign per level: every prefix the scan did not
 witness is decided by exact integer feasibility, and a refuted prefix
-cuts off all of its extensions at once.  A prefix one sign longer adds
-one row to its parent's system, so its `ilp.Closure` (exact bound
-propagation) is its parent's extended by that row, which is the closure
-of the whole prefix system since propagation is monotone.  Each prefix
-goes to the solver with its closure, which answers from the closure when
+cuts off all of its extensions at once.  A prefix's system is an
+`ilp.Closure` (exact bound propagation): one sign longer, it is its
+parent's extended by one row, which is the closure of the whole prefix
+system since propagation is monotone.  The solver answers from it when
 propagation rules the prefix out or pins every multiplier, and sends
 only the prefixes it leaves open to branch and bound.
 """
@@ -161,6 +160,4 @@ class LessThanCache:
         """Whether the prefix's system has no integer point, decided
         exactly.  The solver answers from the prefix's closure where
         propagation settles it."""
-        closure = pair.closure(prefix)
-        return self.solver.feasible(closure.system(),
-                                    closure=closure).status == "unsat"
+        return self.solver.feasible(pair.closure(prefix)).status == "unsat"

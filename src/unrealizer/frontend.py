@@ -353,8 +353,10 @@ def parse_problem(text):
                 raise ParseError(f"unsupported logic {logic_name!r}",
                                  form.value[1].line, form.value[1].col)
         elif head == "set-option":
-            if len(form.value) != 3 or form.value[1].kind != "sym":
-                raise ParseError("set-option needs a :key and a value",
+            # a list value would not print back as the text it was read from
+            if (len(form.value) != 3 or form.value[1].kind != "sym"
+                    or form.value[2].kind == "list"):
+                raise ParseError("set-option needs a :key and an atom value",
                                  form.line, form.col)
             options[form.value[1].value.lstrip(":")] = form.value[2].value
         elif head == "synth-fun":
@@ -431,18 +433,9 @@ def specialize(spec, e):
 
 # --- pretty-printing --------------------------------------------------------
 
-def _format_linterm(t, fname, variables):
-    app = f"({fname} {' '.join(variables)})" if variables else f"({fname})"
-    parts = []
-    for v, c in t.coeffs:
-        base = app if v == OUT else v
-        parts.append(base if c == 1 else f"(* {numeral(c)} {base})")
-    if t.const or not parts:
-        parts.append(numeral(t.const))
-    return parts[0] if len(parts) == 1 else "(+ " + " ".join(parts) + ")"
-
-
-def _format_formula(f, fname, variables):
+def _format_formula(f, names):
+    """A specification formula, written with `names` (the output slot to
+    the function application)."""
     if f.op == "true":
         return "true"
     if f.op == "false":
@@ -450,13 +443,13 @@ def _format_formula(f, fname, variables):
     if f.op == "atom":
         lhs, rel, rhs = f.atom
         op = "distinct" if rel == "!=" else rel
-        return (f"({op} {_format_linterm(lhs, fname, variables)} "
-                f"{_format_linterm(rhs, fname, variables)})")
+        return (f"({op} {logic.render_lin(lhs, names)} "
+                f"{logic.render_lin(rhs, names)})")
     if f.op in ("and", "or"):
-        inner = " ".join(_format_formula(g, fname, variables) for g in f.args)
+        inner = " ".join(_format_formula(g, names) for g in f.args)
         return f"({f.op} {inner})"
     if f.op == "not":
-        return f"(not {_format_formula(f.args[0], fname, variables)})"
+        return f"(not {_format_formula(f.args[0], names)})"
     raise ValueError("specifications are quantifier-free")
 
 
@@ -499,10 +492,12 @@ def format_problem(p):
         sname = "Int" if sort == INT else "Bool"
         lines.append(f"    ({nt} {sname} ({prods}))")
     lines.append("  ))")
+    app = " ".join((p.name,) + p.variables)
+    names = {OUT: f"({app})"}
     if p.spec.op == "and":
         for g in p.spec.args:
-            lines.append(f"(constraint {_format_formula(g, p.name, p.variables)})")
+            lines.append(f"(constraint {_format_formula(g, names)})")
     elif p.spec.op != "true":
-        lines.append(f"(constraint {_format_formula(p.spec, p.name, p.variables)})")
+        lines.append(f"(constraint {_format_formula(p.spec, names)})")
     lines.append("(check-synth)")
     return "\n".join(lines) + "\n"

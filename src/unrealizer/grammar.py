@@ -117,15 +117,6 @@ def plus(arity: int = 2) -> Symbol:
     return Symbol(PLUS, arity=arity)
 
 
-MINUS_SYM = Symbol(MINUS)
-ITE_SYM = Symbol(ITE)
-AND_SYM = Symbol(AND)
-NOT_SYM = Symbol(NOT)
-LESSTHAN_SYM = Symbol(LESSTHAN)
-DOUBLE_SYM = Symbol(DOUBLE)
-INC_SYM = Symbol(INC)
-
-
 @dataclass(frozen=True)
 class Term:
     symbol: Symbol

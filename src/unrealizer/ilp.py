@@ -2,33 +2,35 @@
 
 Systems are conjunctions of linear constraints with integer coefficients
 over integer variables, some restricted to be nonnegative.  Decisions are
-exact.  The presolve is a `Closure`: each row is normalized
-(`presolve_row`) and integer bounds are propagated: rows on one variable
-become bounds, fixed variables are substituted, and a system whose bounds
-cross, or that pins every variable to one point, is decided there with 0
-nodes (singleton-row and fixed-column reduction; Andersen & Andersen 1995,
-Savelsbergh 1994).  A closure is extended row by row and never changed in
-place.  Propagation is monotone (bounds only tighten, fixed variables
-only accumulate), so extending a parent's closure by one row gives the
-closure the whole system would get from scratch: the prefix searches of
-`booldom` and `logic` extend their parents' closures and hand each one
-to `Solver.feasible` with its system.  The solver answers from the
-closure where propagation decides, and only the systems it leaves open
-are counted, exported and searched.
+exact.  A system is a `Closure`: its variables and rows, each row
+normalized (`presolve_row`), and the integer bounds propagated from
+them: rows on one variable become bounds, fixed variables are
+substituted, and a system whose bounds cross, or that pins every
+variable to one point, is decided there with 0 nodes (singleton-row and
+fixed-column reduction; Andersen & Andersen 1995, Savelsbergh 1994).  A
+closure is extended row by row and never changed in place.  Propagation
+is monotone (bounds only tighten, fixed variables only accumulate), so
+extending a parent's closure by one row gives the closure the whole
+system would get from scratch: the prefix searches of `booldom` and
+`logic` extend their parents' closures and hand each one to
+`Solver.feasible`.  The solver answers from the closure where
+propagation decides, and only the systems it leaves open are counted,
+exported and searched.
 
-Every other system goes to branch and bound on the normalized rows in
-the system's order, not on the reduced ones, so its LP path, vertex and
-witness are those of the full system.  The LP relaxations are solved
-with a phase-1 simplex over Python ints (fraction-free Bareiss pivoting,
-Bland's rule), and integrality is recovered by branch and bound.  Before
-the first branch, the equality rows are checked for an integer solution
-(Hermite normal form), which settles lattice gaps outright.  Completeness
-on unbounded polyhedra comes from an a-priori magnitude bound: if an
-integer solution exists at all, one exists inside a computable box.  The
-search deepens its box from |x| <= 16 by squaring up to that bound, so a
-dive along an unbounded ray of the relaxation is cut off early, every
-search tree is finite, and the last box makes "unsat" exact.  Every
-prefix, partial conjunction, branch and leaf is decided this one way.
+Every other system goes to branch and bound on its normalized rows in
+the order they were taken in, over its variables sorted by name, not on
+the reduced rows, so its LP path, vertex and witness are those of the
+full system.  The LP relaxations are solved with a phase-1 simplex over
+Python ints (fraction-free Bareiss pivoting, Bland's rule), and
+integrality is recovered by branch and bound.  Before the first branch,
+the equality rows are checked for an integer solution (Hermite normal
+form), which settles lattice gaps outright.  Completeness on unbounded
+polyhedra comes from an a-priori magnitude bound: if an integer solution
+exists at all, one exists inside a computable box.  The search deepens
+its box from |x| <= 16 by squaring up to that bound, so a dive along an
+unbounded ray of the relaxation is cut off early, every search tree is
+finite, and the last box makes "unsat" exact.  Every prefix, partial
+conjunction, branch and leaf is decided this one way.
 
 Every sat answer is re-verified by substituting the witness into all
 constraints; a failed recheck raises, it is never reported as a result.
@@ -38,9 +40,9 @@ generator g by arithmetic: p - u = lam * g for one integer lam >= 0,
 read off a nonzero coordinate of g by division.  Only a set with two or
 more generators makes a system.
 
-`Constraint`, `IlpSystem` and `Feasibility` are `typing.NamedTuple`s:
-they compare, order and hash as the tuples of their fields, as a frozen
-dataclass does, but in C, which matters on the hot paths.  They are never
+`Constraint` and `Feasibility` are `typing.NamedTuple`s: they compare,
+order and hash as the tuples of their fields, as a frozen dataclass
+does, but in C, which matters on the hot paths.  They are never
 iterated, unpacked or mixed with plain tuples in one dict or set.
 """
 
@@ -72,20 +74,6 @@ def constraint(coeffs: dict[str, int], rel: str, rhs: int) -> Constraint:
     return Constraint(items, rel, int(rhs))
 
 
-class IlpSystem(NamedTuple):
-    variables: tuple[tuple[str, bool], ...]  # (name, nonneg), sorted by name
-    constraints: tuple[Constraint, ...]
-
-
-def system(variables: dict[str, bool], constraints: list[Constraint]) -> IlpSystem:
-    names = set(variables)
-    for c in constraints:
-        for v, _ in c.coeffs:
-            if v not in names:
-                raise ValueError(f"constraint mentions undeclared variable {v!r}")
-    return IlpSystem(tuple(sorted(variables.items())), tuple(constraints))
-
-
 class Feasibility(NamedTuple):
     status: str                      # "sat" or "unsat"
     witness: dict[str, int] | None = None
@@ -109,7 +97,7 @@ def _check_witness(variables, constraints, w: dict[str, int]) -> None:
             raise AssertionError(f"witness violates {c}")
 
 
-def _magnitude_bound(sys: IlpSystem) -> int:
+def _magnitude_bound(closure: Closure) -> int:
     """Box radius within which some integer solution lies, if any does.
 
     Uses the classical small-solution bound for integer programs in
@@ -120,12 +108,12 @@ def _magnitude_bound(sys: IlpSystem) -> int:
     counting, so the bound applies to the original variables as well.
     """
     n = 0
-    for _, nonneg in sys.variables:
+    for nonneg in closure.variables.values():
         n += 1 if nonneg else 2
-    m = len(sys.constraints)
-    n += sum(1 for c in sys.constraints if c.rel != EQ)
+    m = len(closure.constraints)
+    n += sum(1 for c in closure.constraints if c.rel != EQ)
     a = 1
-    for c in sys.constraints:
+    for c in closure.constraints:
         for _, k in c.coeffs:
             a = max(a, abs(k))
         rhs = c.rhs if c.rel != LT else c.rhs - 1
@@ -341,14 +329,15 @@ def presolve_row(c: Constraint) -> tuple[dict[str, int], str, int] | None:
 class Closure:
     """Exact bound propagation over a conjunction that grows row by row.
 
-    A closure holds the declared variables, their integer bounds (a
-    nonneg variable starts with lower bound 0), the variables whose
-    bounds meet (fixed), the rows still on two or more unfixed variables
-    (reduced by the fixed ones), and every row it has taken in, in order,
-    with its presolved form.  A row left with one variable becomes a
-    bound on it, rounded to an integer (a*x <= b gives x <= floor(b/a)
-    for a > 0, x >= ceil(b/a) for a < 0; a*x = b gives both, so it fixes
-    x, or crosses them when a does not divide b).  A fixed variable is
+    A closure is a system: it holds the declared variables and every row
+    it has taken in, in order, with its presolved form, and what
+    propagation made of them: the integer bounds (a nonneg variable
+    starts with lower bound 0), the variables whose bounds meet (fixed),
+    and the rows still on two or more unfixed variables (reduced by the
+    fixed ones).  A row left with one variable becomes a bound on it,
+    rounded to an integer (a*x <= b gives x <= floor(b/a) for a > 0,
+    x >= ceil(b/a) for a < 0; a*x = b gives both, so it fixes x, or
+    crosses them when a does not divide b).  A fixed variable is
     substituted into every row, which may leave rows empty (checked) or
     with one variable (a new bound); this repeats until no variable is
     newly fixed (singleton-row and fixed-column reduction; Andersen &
@@ -366,16 +355,17 @@ class Closure:
     keep such state for the simplex; here it is the presolve's).
     """
 
-    __slots__ = ("variables", "lower", "upper", "fixed", "pending", "rows",
-                 "unsat", "checked")
+    __slots__ = ("variables", "constraints", "presolved", "lower", "upper",
+                 "fixed", "pending", "unsat", "checked")
 
     def __init__(self):
         self.variables: dict[str, bool] = {}  # declared: name -> nonneg
+        self.constraints: tuple = ()  # every Constraint taken in, in order
+        self.presolved: tuple = ()    # presolve_row of each
         self.lower: dict[str, int | None] = {}
         self.upper: dict[str, int | None] = {}
         self.fixed: dict[str, int] = {}
         self.pending: tuple = ()  # reduced rows on two or more variables
-        self.rows: tuple = ()     # (Constraint, presolve_row of it) taken in
         self.unsat = False
         self.checked = 0  # leading rows that `verdict` rechecked
 
@@ -384,7 +374,7 @@ class Closure:
         and `constraints` taken in.  Declaring a name again as nonneg
         makes it nonneg; declaring it free keeps what it was.  A row on an
         undeclared variable raises ValueError.  An unsat closure still
-        takes in what it is given, so that `system` stays whole."""
+        takes in what it is given, so that it holds the whole system."""
         new = Closure.__new__(Closure)
         new.unsat, new.pending = self.unsat, self.pending
         new.checked = self.checked
@@ -402,7 +392,7 @@ class Closure:
             elif nonneg and not declared[v]:
                 declared[v] = True
                 now_nonneg.append(v)
-        taken = list(self.rows)
+        constraints = tuple(constraints)
         scan = []
         for c in constraints:
             for v, _ in c.coeffs:
@@ -410,11 +400,11 @@ class Closure:
                     raise ValueError(
                         f"constraint mentions undeclared variable {v!r}")
             row = presolve_row(c)
-            taken.append((c, row))
             if row is None:
                 new.unsat = True
             scan.append(row)
-        new.rows = tuple(taken)
+        new.constraints = self.constraints + constraints
+        new.presolved = self.presolved + tuple(scan)
         if new.unsat:
             return new
         for v in now_nonneg:
@@ -467,11 +457,10 @@ class Closure:
                 self.fixed[v] = lo
         return True
 
-    def verdict(self, order=None) -> Feasibility | None:
+    def verdict(self) -> Feasibility | None:
         """What propagation decides: "unsat", "sat" with the one point
-        left (rechecked against the rows taken in, and keyed in `order`,
-        by default sorted by name as `system` orders variables), or None
-        when the rows are left open.
+        left (rechecked against the rows taken in, and keyed by sorted
+        name), or None when the rows are left open.
 
         A fixed value never changes (a tighter bound on it would cross),
         and a row mentions only variables declared before it, so a row
@@ -482,30 +471,18 @@ class Closure:
             return Feasibility("unsat", None, 0)
         if len(self.fixed) < len(self.variables):
             return None
-        names = sorted(self.variables) if order is None else order
-        w = {v: self.fixed[v] for v in names}
+        w = {v: self.fixed[v] for v in sorted(self.variables)}
         _check_witness(self.variables.items(),
-                       [c for c, _ in self.rows[self.checked:]], w)
-        self.checked = len(self.rows)
+                       self.constraints[self.checked:], w)
+        self.checked = len(self.constraints)
         return Feasibility("sat", w, 0)
 
-    def system(self) -> IlpSystem:
-        """The system of what this closure took in: its variables, sorted
-        by name as `system` orders them, and its rows in the order taken
-        in."""
-        return IlpSystem(tuple(sorted(self.variables.items())),
-                         tuple([c for c, _ in self.rows]))
 
-    def rows_of(self, sys: IlpSystem) -> list[tuple[dict[str, int], str, int]]:
-        """The presolved rows of sys's constraints, in sys's order, with
-        the rows on no variable left out.  Raises ValueError unless this
-        closure took in exactly sys's variables and constraints."""
-        presolved = dict(self.rows)
-        if (dict(sys.variables) != self.variables
-                or presolved.keys() != set(sys.constraints)):
-            raise ValueError("closure does not match the system")
-        rows = [presolved[c] for c in sys.constraints]
-        return [r for r in rows if r[0]]
+def system(variables: dict[str, bool],
+           constraints: list[Constraint]) -> Closure:
+    """The system of `constraints` over `variables` (name -> nonneg): its
+    closure.  A row on an undeclared variable raises ValueError."""
+    return Closure().add(constraints, variables.items())
 
 
 def _equalities_integral(varnames: list[str],
@@ -543,18 +520,18 @@ def _equalities_integral(varnames: list[str],
     return True
 
 
-def _branch_and_bound(sys: IlpSystem, closure: Closure,
-                      node_budget: int) -> Feasibility:
-    """Branch and bound on the LP relaxation of a system its closure left
+def _branch_and_bound(closure: Closure, node_budget: int) -> Feasibility:
+    """Branch and bound on the LP relaxation of a system propagation left
     open.
 
-    It runs on the presolved rows in sys's order, not on the ones
-    propagation reduced, so the relaxation, its vertices and hence the
-    witness are those of the full system.  Branch bounds may descend
-    without the LP ever going infeasible (no integer point but rational
-    ones everywhere), and a depth-first search (Land & Doig 1960) that
-    follows an unbounded ray of the relaxation dives away from every
-    integer point.  So the search deepens its box: each pass skips a
+    It runs on the presolved rows in the order they were taken in, over
+    the variables sorted by name, not on the rows propagation reduced,
+    so the relaxation, its vertices and hence the witness are those of
+    the full system.  Branch bounds may descend without the LP ever
+    going infeasible (no integer point but rational ones everywhere),
+    and a depth-first search (Land & Doig 1960) that follows an
+    unbounded ray of the relaxation dives away from every integer
+    point.  So the search deepens its box: each pass skips a
     node whose branch bounds leave [-box, box], box = min(R, the
     magnitude bound) for R = 16, 256, 65536, ... (each R the square of
     the last), and the next pass runs only if this one skipped a node
@@ -571,13 +548,14 @@ def _branch_and_bound(sys: IlpSystem, closure: Closure,
     full, and the last pass is that tree, so the answer "unsat" is exact:
     if an integer point exists, one lies within the magnitude bound.
     """
-    varnames = [v for v, _ in sys.variables]
-    constraints = closure.rows_of(sys)
+    variables = sorted(closure.variables.items())
+    varnames = [v for v, _ in variables]
+    constraints = [r for r in closure.presolved if r[0]]
 
-    bound = _magnitude_bound(sys)
+    bound = _magnitude_bound(closure)
     lower0: dict[str, int | None] = {v: (0 if nonneg else None)
-                                     for v, nonneg in sys.variables}
-    upper0: dict[str, int | None] = {v: None for v, _ in sys.variables}
+                                     for v, nonneg in variables}
+    upper0: dict[str, int | None] = {v: None for v in varnames}
 
     nodes = 0
     radius = 16
@@ -605,7 +583,7 @@ def _branch_and_bound(sys: IlpSystem, closure: Closure,
                     break
             if frac_var is None:
                 w = {v: int(point[v]) for v in varnames}
-                _check_witness(sys.variables, sys.constraints, w)
+                _check_witness(variables, closure.constraints, w)
                 return Feasibility("sat", w, nodes)
             if nodes == 1 and not _equalities_integral(varnames, constraints):
                 return Feasibility("unsat", None, nodes)
@@ -630,31 +608,26 @@ class Solver:
         self.export_dir = export_dir
         self.queries = 0
 
-    def feasible(self, sys: IlpSystem,
-                 closure: Closure | None = None) -> Feasibility:
-        """Exact integer feasibility of sys: presolve, then branch and
-        bound on the LP relaxation, within the solver's node budget; an
-        exhausted budget raises BudgetExceeded.  Every prefix, partial
-        conjunction, branch and leaf of the searches in `booldom` and
-        `logic` asks this one question.
+    def feasible(self, closure: Closure) -> Feasibility:
+        """Exact integer feasibility of the system `closure` holds: its
+        propagation, then branch and bound on the LP relaxation, within
+        the solver's node budget; an exhausted budget raises
+        BudgetExceeded.  Every prefix, partial conjunction, branch and
+        leaf of the searches in `booldom` and `logic` asks this one
+        question, of a closure extended row by row from its parent's.
 
-        Presolve is the system's `Closure`.  A caller that holds the
-        closure of sys's rows, extended row by row by a prefix search,
-        passes it; without one it is built here.  A system its closure
-        decides (refuted rows, or every variable fixed to one integer
-        point) is answered from it with 0 nodes; only the systems it
-        leaves open are counted in `queries`, exported and sent to
-        `_branch_and_bound`.
+        A system propagation decides (refuted rows, or every variable
+        fixed to one integer point) is answered from the closure with 0
+        nodes; only the systems it leaves open are counted in `queries`,
+        exported and sent to `_branch_and_bound`.
         """
-        if closure is None:
-            closure = Closure().add(sys.constraints, sys.variables)
-        res = closure.verdict([v for v, _ in sys.variables])
+        res = closure.verdict()
         if res is not None:
             return res
         self.queries += 1
         if self.export_dir is not None:
-            self._export(sys)
-        return _branch_and_bound(sys, closure, self.node_budget)
+            self._export(closure)
+        return _branch_and_bound(closure, self.node_budget)
 
     def member(self, point: tuple[int, ...], ls) -> bool:
         """point in <base, gens>: some nonnegative integer combination works.
@@ -681,27 +654,29 @@ class Solver:
         cons = []
         for i, d in enumerate(diff):
             cons.append(constraint({f"l{j}": g[i] for j, g in enumerate(ls.gens)}, EQ, d))
-        sys = system({f"l{j}": True for j in range(len(ls.gens))}, cons)
-        return self.feasible(sys).status == "sat"
+        nonneg = {f"l{j}": True for j in range(len(ls.gens))}
+        return self.feasible(system(nonneg, cons)).status == "sat"
 
-    def _export(self, sys: IlpSystem) -> None:
+    def _export(self, closure: Closure) -> None:
         import os
 
         os.makedirs(self.export_dir, exist_ok=True)
         path = os.path.join(self.export_dir, f"query{self.queries:05d}.smt2")
         with open(path, "w") as fh:
-            fh.write(export_smtlib(sys))
+            fh.write(export_smtlib(closure))
 
 
-def export_smtlib(sys: IlpSystem) -> str:
-    """SMT-LIB2 rendering of a system; byte-stable for identical systems."""
+def export_smtlib(closure: Closure) -> str:
+    """SMT-LIB2 rendering of a system, its variables sorted by name;
+    byte-stable for identical systems."""
+    variables = sorted(closure.variables.items())
     lines = ["(set-logic QF_LIA)"]
-    for v, nonneg in sys.variables:
+    for v, nonneg in variables:
         lines.append(f"(declare-const {v} Int)")
-    for v, nonneg in sys.variables:
+    for v, nonneg in variables:
         if nonneg:
             lines.append(f"(assert (>= {v} 0))")
-    for c in sys.constraints:
+    for c in closure.constraints:
         terms = [f"(* {numeral(k)} {v})" for v, k in c.coeffs]
         lhs = terms[0] if len(terms) == 1 else "(+ " + " ".join(terms) + ")" if terms else "0"
         lines.append(f"(assert ({c.rel} {lhs} {numeral(c.rhs)}))")

@@ -8,12 +8,11 @@ walks its disjunctive normal form depth first, splitting one disjunction
 at a time.  Each partial conjunction before a split and each branch is
 decided exactly, by one feasibility check: a refuted partial conjunction
 is dropped with all of its branches, and the first sat branch decides.
-Each partial conjunction and branch carries an `ilp.Closure` (exact
-bound propagation) extended from its parent's by the atoms it added;
-propagation is monotone, so that is the closure of its whole system.
-The solver gets each system with its closure and answers from it where
-propagation settles the system; only the ones left open reach branch and
-bound.
+Each partial conjunction and branch carries its system as an
+`ilp.Closure` (exact bound propagation), its parent's extended by the
+atoms it added; propagation is monotone, so that is the closure of its
+whole system.  The solver answers from it where propagation settles the
+system; only the ones left open reach branch and bound.
 """
 
 import itertools
@@ -287,11 +286,11 @@ def _branches(f, solver=None, rows=None):
     propagated twice), and one that `Solver.feasible` decides unsat, from
     the closure or by exact branch and bound as for a branch, is dropped
     with every branch extending it.  A yielded branch's closure holds all
-    of its atoms and variables, so its `system()` is the branch's system:
-    a row per atom, over the variables of every atom (those whose
-    coefficients cancel too) and the bound ones, nonneg where the branch
-    says so.  `rows` maps an atom to its row and variables, built once
-    per atom (`_atom_row`).
+    of its atoms and variables, so it is the branch's system: a row per
+    atom, over the variables of every atom (those whose coefficients
+    cancel too) and the bound ones, nonneg where the branch says so.
+    `rows` maps an atom to its row and variables, built once per atom
+    (`_atom_row`).
     """
     if rows is None:
         rows = {}
@@ -318,8 +317,7 @@ def _branches(f, solver=None, rows=None):
                     closure = _extend(closure, atoms[taken:], nonneg,
                                       free_bound, rows)
                     taken = len(atoms)
-                    if solver.feasible(closure.system(),
-                                       closure=closure).status == "unsat":
+                    if solver.feasible(closure).status == "unsat":
                         break
                 for h in reversed(g.args):
                     stack.append(((h, todo), atoms, nonneg, free_bound,
@@ -369,13 +367,13 @@ def decide(f, solver):
 
     The witness is that of the first sat branch in DNF order.
     Each atom's row is built once per call and shared by the partial
-    conjunctions and the branches that contain it.  Each branch goes to
-    the solver with its closure, which decides it where propagation
-    settles it and by branch and bound on the full system otherwise.
+    conjunctions and the branches that contain it.  The solver decides
+    each branch's closure where propagation settles it and by branch and
+    bound on the full system otherwise.
     """
     rows = {}
     for b, closure in _branches(f, solver, rows):
-        res = solver.feasible(closure.system(), closure=closure)
+        res = solver.feasible(closure)
         if res.status == "sat":
             return "sat", dict(res.witness)
     return "unsat", None
@@ -427,9 +425,12 @@ def build_query(value, ps):
 
 # --- SMT-LIB rendering ------------------------------------------------------
 
-def _render_lin(t):
+def render_lin(t, names=None):
+    """S-expression of a linear term; `names` maps a variable to the text
+    written in its place."""
     parts = []
     for v, c in t.coeffs:
+        v = names.get(v, v) if names else v
         if c == 1:
             parts.append(v)
         else:
@@ -450,8 +451,8 @@ def render(f):
     if f.op == "atom":
         lhs, rel, rhs = f.atom
         if rel == "!=":
-            return f"(not (= {_render_lin(lhs)} {_render_lin(rhs)}))"
-        return f"({rel} {_render_lin(lhs)} {_render_lin(rhs)})"
+            return f"(not (= {render_lin(lhs)} {render_lin(rhs)}))"
+        return f"({rel} {render_lin(lhs)} {render_lin(rhs)})"
     if f.op in ("and", "or"):
         return f"({f.op} " + " ".join(render(g) for g in f.args) + ")"
     if f.op == "not":

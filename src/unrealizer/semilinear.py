@@ -133,8 +133,8 @@ class SemiLinearSet(NamedTuple):
         pts: set[Vector] = set()
         for c in self.components:
             for ls in product(range(budget + 1), repeat=len(c.gens)):
-                pts.add(tuple(b + sum(l * g[i] for l, g in zip(ls, c.gens))
-                              for i, b in enumerate(c.base)))
+                pts.add(tuple([b + sum(l * g[i] for l, g in zip(ls, c.gens))
+                               for i, b in enumerate(c.base)]))
         return frozenset(pts)
 
 

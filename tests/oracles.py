@@ -4,7 +4,8 @@ Each one is the plain, eager form of something the package computes
 another way: bounded tree and value enumeration for the equation
 solvers, Kleene iteration for Newton's method, the guard-pattern sum for
 `ite`, the one-shot `LessThan`, and the DNF branches with their ILP
-systems for the lazy walk in `logic.decide`.  The package itself never
+systems for the lazy walk in `logic.decide`.  The operator symbols the
+tests write productions with are here too.  The package itself never
 calls them.  pytest does not collect this module (its name does not
 start with ``test_``); the tests import it by name.
 """
@@ -16,9 +17,18 @@ from unrealizer import logic as lg
 from unrealizer import semilinear as sl
 from unrealizer.booldom import LessThanCache, neg
 from unrealizer.grammar import (
-    ExampleSet, GrammarError, Term, apply_symbol, eval_term,
+    AND, DOUBLE, INC, ITE, LESSTHAN, MINUS, NOT, ExampleSet, GrammarError,
+    Symbol, Term, apply_symbol, eval_term,
 )
 from unrealizer.newton import monomial_value
+
+MINUS_SYM = Symbol(MINUS)
+ITE_SYM = Symbol(ITE)
+AND_SYM = Symbol(AND)
+NOT_SYM = Symbol(NOT)
+LESSTHAN_SYM = Symbol(LESSTHAN)
+DOUBLE_SYM = Symbol(DOUBLE)
+INC_SYM = Symbol(INC)
 
 # --- terms and example sets -------------------------------------------------
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import reachable_values
+from oracles import INC_SYM, LESSTHAN_SYM, reachable_values
 from unrealizer import grammar as gr
 from unrealizer import logic as lg
 from unrealizer.approx import horn_export, parity_domain, predabs_solve
@@ -100,7 +100,7 @@ def test_predabs_iteration_bound():
     # |N| chained nonterminals still settle within (2^|P|) * |N| + 1 passes
     nts = [(f"N{i}", gr.INT) for i in range(6)]
     prods = [gr.Production("N0", gr.num(1), ())]
-    prods += [gr.Production(f"N{i}", gr.INC_SYM, (f"N{i - 1}",))
+    prods += [gr.Production(f"N{i}", INC_SYM, (f"N{i - 1}",))
               for i in range(1, 6)]
     g = gr.Rtg(tuple(nts), "N5", tuple(prods))
     nu = predabs_solve(g, E3, parity_domain())
@@ -165,7 +165,7 @@ def test_horn_export_grounds_all_leaf_productions():
 
 def test_horn_export_rejects_boolean_start():
     g = gr.Rtg((("B", gr.BOOL),), "B",
-               (gr.Production("B", gr.LESSTHAN_SYM,
+               (gr.Production("B", LESSTHAN_SYM,
                               (gr.leaf(gr.num(0)), gr.leaf(gr.num(1)))),))
     e = gr.ExampleSet((), ((),))
     with pytest.raises(gr.GrammarError):

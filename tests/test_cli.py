@@ -393,6 +393,19 @@ def test_nonsensical_numeric_options_are_usage_errors(flag, value):
     assert "Traceback" not in out.stderr
 
 
+def test_set_option_with_a_list_value_is_usage_error(tmp_path):
+    spec = tmp_path / "listopt.sy"
+    spec.write_text((PROBLEMS / "g1.sy").read_text().replace(
+        "(check-synth)", "(set-option :foo (a b))\n(check-synth)"))
+    out = _run_child("check", str(spec), "--json")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ")
+    assert len(out.stderr.splitlines()) == 1
+    assert "set-option" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_repeated_variable_in_one_example_is_usage_error():
     out = _run_child("check-examples", str(PROBLEMS / "g1.sy"),
                      "--examples", "x=1,x=2", "--json")

@@ -1,6 +1,9 @@
 import pytest
 
-from oracles import ite_abstract, reachable_values
+from oracles import (
+    AND_SYM, DOUBLE_SYM, ITE_SYM, LESSTHAN_SYM, NOT_SYM, ite_abstract,
+    reachable_values,
+)
 from unrealizer import clia
 from unrealizer import grammar as gr
 from unrealizer import semilinear as sl
@@ -134,14 +137,14 @@ def _g2():
         (("Start", gr.INT), ("BExp", gr.BOOL),
          ("Exp2", gr.INT), ("Exp3", gr.INT)),
         "Start",
-        (gr.Production("Start", gr.ITE_SYM, ("BExp", "Exp3", "Start")),
+        (gr.Production("Start", ITE_SYM, ("BExp", "Exp3", "Start")),
          gr.Production("Start", None, ("Exp2",)),
          gr.Production("Start", None, ("Exp3",)),
-         gr.Production("BExp", gr.LESSTHAN_SYM,
+         gr.Production("BExp", LESSTHAN_SYM,
                        (gr.leaf(gr.var("x")), gr.leaf(gr.num(2)))),
-         gr.Production("BExp", gr.LESSTHAN_SYM,
+         gr.Production("BExp", LESSTHAN_SYM,
                        (gr.leaf(gr.num(0)), "Start")),
-         gr.Production("BExp", gr.AND_SYM, ("BExp", "BExp")),
+         gr.Production("BExp", AND_SYM, ("BExp", "BExp")),
          gr.Production("Exp2", gr.plus(3),
                        (gr.leaf(gr.var("x")), gr.leaf(gr.var("x")), "Exp2")),
          gr.Production("Exp2", gr.num(0), ()),
@@ -219,11 +222,11 @@ def test_solve_mutual_alternation_grows_guards():
 
 def test_solve_bool_only_grammar():
     g = gr.Rtg((("Start", gr.INT), ("B", gr.BOOL)), "Start",
-               (gr.Production("Start", gr.ITE_SYM,
+               (gr.Production("Start", ITE_SYM,
                               ("B", gr.leaf(gr.num(1)), gr.leaf(gr.num(0)))),
-                gr.Production("B", gr.LESSTHAN_SYM,
+                gr.Production("B", LESSTHAN_SYM,
                               (gr.leaf(gr.var("x")), gr.leaf(gr.num(0)))),
-                gr.Production("B", gr.NOT_SYM, ("B",))))
+                gr.Production("B", NOT_SYM, ("B",))))
     e = gr.ExampleSet(("x",), ((-1,), (3,)))
     res = clia.solve(g, e)
     assert res.value("B") == frozenset({(T, F), (F, T)})
@@ -252,7 +255,7 @@ def test_solve_is_complete_for_small_members():
 
 def test_solve_rejects_unsupported_symbols():
     g = gr.Rtg((("Start", gr.INT),), "Start",
-               (gr.Production("Start", gr.DOUBLE_SYM, ("Start",)),
+               (gr.Production("Start", DOUBLE_SYM, ("Start",)),
                 gr.Production("Start", gr.num(1), ())))
     with pytest.raises(gr.GrammarError):
         clia.solve(g, E12)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import free_vars
+from oracles import AND_SYM, ITE_SYM, LESSTHAN_SYM, free_vars
 from unrealizer import frontend as fe
 from unrealizer import grammar as gr
 from unrealizer import logic as lg
@@ -48,9 +48,9 @@ def test_parse_clia_constructs():
     p = fe.parse_problem(text)
     kinds = {pr.symbol.kind for pr in p.grammar.productions
              if pr.symbol is not None}
-    assert gr.ITE_SYM.kind in kinds
-    assert gr.LESSTHAN_SYM.kind in kinds
-    assert gr.AND_SYM.kind in kinds
+    assert ITE_SYM.kind in kinds
+    assert LESSTHAN_SYM.kind in kinds
+    assert AND_SYM.kind in kinds
     sorts = p.grammar.sorts
     assert sorts["BExp"] == gr.BOOL
     assert sorts["Start"] == gr.INT
@@ -62,6 +62,8 @@ def test_parse_clia_constructs():
     ("(set-logic LIA)\n(synth-fun f ((x Int)) Int ((S Int (0))))",
      "check-synth"),
     ("(set-logic LIA)\n(set-logic LIA)", "duplicate set-logic"),
+    # format_problem could not print a list value back as it was read
+    ("(set-logic LIA)\n(set-option :foo (a b))", "atom value"),
     ("(set-logic QF_BV)", "unsupported logic"),
     ("(set-logic LIA)\n(constraint true)", "constraint before synth-fun"),
     (MINIMAL + "(constraint true)", "nothing may follow"),

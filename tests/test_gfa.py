@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import AND_SYM, ITE_SYM, LESSTHAN_SYM, MINUS_SYM, NOT_SYM
 from unrealizer import gfa
 from unrealizer import grammar as gr
 from unrealizer import semilinear as sl
@@ -39,12 +40,12 @@ def test_build_equations_dump_golden():
 
 def test_build_equations_booleans_and_conditionals():
     g = gr.Rtg((("S", gr.INT), ("B", gr.BOOL)), "S",
-               (gr.Production("S", gr.ITE_SYM, ("B", "S", gr.leaf(gr.num(5)))),
+               (gr.Production("S", ITE_SYM, ("B", "S", gr.leaf(gr.num(5)))),
                 gr.Production("S", gr.num(0), ()),
-                gr.Production("B", gr.LESSTHAN_SYM,
+                gr.Production("B", LESSTHAN_SYM,
                               (gr.leaf(gr.var("x")), gr.leaf(gr.num(2)))),
-                gr.Production("B", gr.AND_SYM, ("B", "B")),
-                gr.Production("B", gr.NOT_SYM, ("B",))))
+                gr.Production("B", AND_SYM, ("B", "B")),
+                gr.Production("B", NOT_SYM, ("B",))))
     sys = gfa.build_equations(g, E12)
     assert sys.has_ite()
     ite, zero = sys.equations["S"]
@@ -62,10 +63,10 @@ def test_build_equations_aliases():
     g = gr.Rtg((("S", gr.INT), ("T", gr.INT), ("A", gr.BOOL), ("B", gr.BOOL)),
                "S",
                (gr.Production("S", None, ("T",)),
-                gr.Production("S", gr.ITE_SYM, ("A", "T", "T")),
+                gr.Production("S", ITE_SYM, ("A", "T", "T")),
                 gr.Production("T", gr.num(1), ()),
                 gr.Production("A", None, ("B",)),
-                gr.Production("B", gr.LESSTHAN_SYM,
+                gr.Production("B", LESSTHAN_SYM,
                               (gr.leaf(gr.num(0)), gr.leaf(gr.var("x"))))))
     sys = gfa.build_equations(g, E12)
     assert sys.equations["S"][0] == IntMonomial(sl.one(2), (Factor("T"),))
@@ -74,7 +75,7 @@ def test_build_equations_aliases():
 
 def test_build_equations_rejects_minus():
     g = gr.Rtg((("S", gr.INT),), "S",
-               (gr.Production("S", gr.MINUS_SYM,
+               (gr.Production("S", MINUS_SYM,
                               (gr.leaf(gr.var("x")), "S")),
                 gr.Production("S", gr.num(0), ())))
     with pytest.raises(gr.GrammarError):
@@ -100,9 +101,9 @@ def test_stratify_orders_dependencies_first():
 
 def test_stratify_groups_mutual_recursion():
     g = gr.Rtg((("S", gr.INT), ("B", gr.BOOL)), "S",
-               (gr.Production("S", gr.ITE_SYM, ("B", "S", gr.leaf(gr.num(0)))),
+               (gr.Production("S", ITE_SYM, ("B", "S", gr.leaf(gr.num(0)))),
                 gr.Production("S", gr.num(1), ()),
-                gr.Production("B", gr.LESSTHAN_SYM,
+                gr.Production("B", LESSTHAN_SYM,
                               (gr.leaf(gr.num(0)), "S"))))
     strata = gfa.stratify(gfa.build_equations(g, E12))
     assert strata == [("B", "S")]

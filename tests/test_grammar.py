@@ -1,6 +1,7 @@
 import pytest
 
 from oracles import (
+    AND_SYM, DOUBLE_SYM, INC_SYM, ITE_SYM, LESSTHAN_SYM, MINUS_SYM, NOT_SYM,
     enumerate_trees, example_set, height, proj_z, reachable_values,
 )
 from unrealizer import grammar as gr
@@ -31,10 +32,10 @@ def ex(*points):
 def test_symbol_ranks_and_sorts():
     assert num(3).rank == 0 and num(3).sort == INT
     assert var("x").rank == 0
-    assert gr.MINUS_SYM.rank == 2 and gr.MINUS_SYM.sort == INT
-    assert gr.ITE_SYM.rank == 3 and gr.ITE_SYM.arg_sorts == (BOOL, INT, INT)
-    assert gr.LESSTHAN_SYM.sort == BOOL and gr.LESSTHAN_SYM.arg_sorts == (INT, INT)
-    assert gr.NOT_SYM.rank == 1 and gr.AND_SYM.rank == 2
+    assert MINUS_SYM.rank == 2 and MINUS_SYM.sort == INT
+    assert ITE_SYM.rank == 3 and ITE_SYM.arg_sorts == (BOOL, INT, INT)
+    assert LESSTHAN_SYM.sort == BOOL and LESSTHAN_SYM.arg_sorts == (INT, INT)
+    assert NOT_SYM.rank == 1 and AND_SYM.rank == 2
     assert plus(4).rank == 4 and plus().rank == 2
 
 
@@ -46,7 +47,7 @@ def test_term_arity_checked():
 def test_eval_componentwise():
     t = Term(plus(2), (leaf(var("x")), leaf(num(3))))
     assert eval_term(t, ex(1, 2)) == (4, 5)
-    t2 = Term(gr.MINUS_SYM, (leaf(num(0)), leaf(var("x"))))
+    t2 = Term(MINUS_SYM, (leaf(num(0)), leaf(var("x"))))
     assert eval_term(t2, ex(5)) == (-5,)
     assert eval_term(leaf(gr.negvar("x")), ex(5, -2)) == (-5, 2)
 
@@ -58,17 +59,17 @@ def test_eval_nary_plus_term():
 
 
 def test_eval_ite_selects_per_coordinate():
-    guard = Term(gr.LESSTHAN_SYM, (leaf(var("x")), leaf(num(2))))
-    t = Term(gr.ITE_SYM, (guard, leaf(num(10)), leaf(var("x"))))
+    guard = Term(LESSTHAN_SYM, (leaf(var("x")), leaf(num(2))))
+    t = Term(ITE_SYM, (guard, leaf(num(10)), leaf(var("x"))))
     assert eval_term(t, ex(1, 5)) == (10, 5)
 
 
 def test_eval_ite_agrees_with_projection_sum():
     from unrealizer.booldom import neg
-    guard = Term(gr.LESSTHAN_SYM, (leaf(num(0)), leaf(var("x"))))
+    guard = Term(LESSTHAN_SYM, (leaf(num(0)), leaf(var("x"))))
     a = Term(plus(2), (leaf(var("x")), leaf(var("x"))))
     b = leaf(num(7))
-    t = Term(gr.ITE_SYM, (guard, a, b))
+    t = Term(ITE_SYM, (guard, a, b))
     e = ex(-1, 0, 3)
     bvec = eval_term(guard, e)
     direct = eval_term(t, e)
@@ -78,11 +79,11 @@ def test_eval_ite_agrees_with_projection_sum():
 
 
 def test_eval_bool_ops():
-    lt = Term(gr.LESSTHAN_SYM, (leaf(var("x")), leaf(num(2))))
+    lt = Term(LESSTHAN_SYM, (leaf(var("x")), leaf(num(2))))
     assert eval_term(lt, ex(1, 2)) == (True, False)
-    nt = Term(gr.NOT_SYM, (lt,))
+    nt = Term(NOT_SYM, (lt,))
     assert eval_term(nt, ex(1, 2)) == (False, True)
-    an = Term(gr.AND_SYM, (lt, lt))
+    an = Term(AND_SYM, (lt, lt))
     assert eval_term(an, ex(1, 2)) == (True, False)
 
 
@@ -97,7 +98,7 @@ def test_validate_clean_grammar():
 
 def test_validate_sort_mismatch():
     g = Rtg((("Start", INT),), "Start",
-            (Production("Start", gr.AND_SYM, ("Start", "Start")),))
+            (Production("Start", AND_SYM, ("Start", "Start")),))
     errors = validate(g)
     assert errors == ["Start ::= And(Start, Start): And produces Bool, "
                       "lhs has sort Int",
@@ -210,7 +211,7 @@ def test_alias_productions():
 def test_alias_sort_mismatch_rejected():
     g = Rtg((("A", INT), ("B", BOOL)), "A",
             (Production("A", None, ("B",)),
-             Production("B", gr.LESSTHAN_SYM, (leaf(num(0)), leaf(num(1)))),))
+             Production("B", LESSTHAN_SYM, (leaf(num(0)), leaf(num(1)))),))
     assert validate(g) == ["A ::= B: alias target has sort Bool, lhs has Int"]
 
 
@@ -248,5 +249,5 @@ def test_zero_arity_example_set():
 
 
 def test_double_and_inc():
-    t = Term(gr.DOUBLE_SYM, (Term(gr.INC_SYM, (leaf(num(1)),)),))
+    t = Term(DOUBLE_SYM, (Term(INC_SYM, (leaf(num(1)),)),))
     assert eval_term(t, ex(0)) == (4,)

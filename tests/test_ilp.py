@@ -561,7 +561,8 @@ def closure_rows(rng):
 
 def closure_state(cl):
     return (cl.unsat, dict(cl.fixed), dict(cl.lower), dict(cl.upper),
-            list(cl.pending), list(cl.rows), dict(cl.variables))
+            list(cl.pending), list(cl.constraints), list(cl.presolved),
+            dict(cl.variables))
 
 
 def test_closure_extended_row_by_row_matches_one_shot_propagation():
@@ -631,9 +632,11 @@ def test_closure_declares_variables_as_they_appear():
 
 
 def test_closure_passed_to_branch_and_bound_keeps_system_row_order():
-    # branch and bound runs on the system's rows in the system's order,
-    # whatever order the closure took them in, so its vertex and witness
-    # are those of the system
+    # branch and bound runs on the rows in the order the closure took
+    # them in, over the variables sorted by name whatever order they were
+    # declared in, so a closure extended row by row gets the vertex and
+    # witness of the system built at once; the reversed rows are another
+    # system, whose witness may differ
     rng = random.Random(5)
     differs = 0
     checked = 0
@@ -644,34 +647,21 @@ def test_closure_passed_to_branch_and_bound_keeps_system_row_order():
                                rng.randint(-6, 6))
                 for _ in range(rng.randint(2, 3))]
         variables = {v: True for v in names}
-        sys = ilp.system(variables, rows)
         try:
-            want = ilp.Solver(2000).feasible(sys)
+            want = ilp.Solver(2000).feasible(ilp.system(variables, rows))
             reversed_sys = ilp.Solver(2000).feasible(
                 ilp.system(variables, rows[::-1]))
         except ilp.BudgetExceeded:
             continue
-        cl = ilp.Closure().add(rows[::-1], variables.items())
+        cl = ilp.Closure().add((), [(v, True) for v in reversed(names)])
+        for c in rows:
+            cl = cl.add((c,))
         if cl.verdict() is not None:
             continue
         checked += 1
-        assert ilp.Solver(2000).feasible(sys, closure=cl) == want, rows
+        assert ilp.Solver(2000).feasible(cl) == want, rows
         differs += reversed_sys != want
     assert checked >= 40 and differs >= 5, (checked, differs)
-
-
-def test_closure_of_another_system_is_refused():
-    rows = [ilp.constraint({"x": 1, "y": 1}, "<=", 4)]
-    cl = ilp.Closure().add(rows, [("x", True), ("y", True)])
-    other = ilp.system({"x": True, "y": True},
-                       rows + [ilp.constraint({"x": 1, "y": -1}, "<=", 1)])
-    solver = ilp.Solver()
-    with pytest.raises(ValueError):
-        solver.feasible(other, closure=cl)
-    with pytest.raises(ValueError):
-        solver.feasible(ilp.system({"x": True, "y": False}, rows), closure=cl)
-    assert solver.feasible(ilp.system({"x": True, "y": True}, rows),
-                           closure=cl).status == "sat"
 
 
 def test_solver_answers_from_the_closure_and_counts_only_open_systems(
@@ -679,23 +669,22 @@ def test_solver_answers_from_the_closure_and_counts_only_open_systems(
     out = tmp_path / "smt"
     solver = ilp.Solver(export_dir=str(out))
     x3 = ilp.Closure().add([ilp.constraint({"x": 1}, "=", 3)], [("x", True)])
-    assert solver.feasible(x3.system(), closure=x3) == \
-        ilp.Feasibility("sat", {"x": 3}, 0)
+    assert solver.feasible(x3) == ilp.Feasibility("sat", {"x": 3}, 0)
     neg = x3.add([ilp.constraint({"x": 1}, "<=", 2)])
-    assert solver.feasible(neg.system(), closure=neg).status == "unsat"
-    # an unsat closure still takes in rows, so its system stays whole
+    assert solver.feasible(neg).status == "unsat"
+    # an unsat closure still takes in rows, so it holds the whole system
     more = ilp.constraint({"x": 1}, "<=", 9)
-    assert neg.add([more]).system().constraints == \
-        neg.system().constraints + (more,)
-    # without a closure the solver builds one and answers from it alike
-    assert solver.feasible(x3.system()).status == "sat"
+    assert neg.add([more]).constraints == neg.constraints + (more,)
+    # a system built at once is a closure and is answered from it alike
+    assert solver.feasible(ilp.system(
+        {"x": True}, [ilp.constraint({"x": 1}, "=", 3)])).status == "sat"
     assert solver.queries == 0 and not out.exists()
-    open_sys = ilp.system({"x": True, "y": False},
-                          [ilp.constraint({"x": 2, "y": -1}, "<=", 3)])
-    cl = ilp.Closure().add(open_sys.constraints, open_sys.variables)
-    assert cl.system() == open_sys
-    assert solver.feasible(open_sys, closure=cl) == \
-        ilp.Solver().feasible(open_sys)
+    rows = [ilp.constraint({"x": 2, "y": -1}, "<=", 3)]
+    open_sys = ilp.system({"x": True, "y": False}, rows)
+    cl = ilp.Closure().add((), [("y", False), ("x", True)]).add(rows)
+    assert (cl.variables, cl.constraints) == \
+        (open_sys.variables, open_sys.constraints)
+    assert solver.feasible(cl) == ilp.Solver().feasible(open_sys)
     assert solver.queries == 1
     assert [p.name for p in out.iterdir()] == ["query00001.smt2"]
 

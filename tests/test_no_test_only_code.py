@@ -1,5 +1,6 @@
-"""Every function, class and method defined in the package is reached
-from the package itself or from the benchmark in `perfbench/`.
+"""Every function, class, method and module-level name defined in the
+package is reached from the package itself or from the benchmark in
+`perfbench/`.
 
 A name is reached when some code mentions it outside its own definition:
 as a name, an attribute, an imported name, or a string (the benchmark's
@@ -25,12 +26,21 @@ LIBRARY_API = {
 
 def _definitions(tree):
     """(qualified name, name, first line, last line) of the top-level
-    functions and classes and of the non-dunder methods of the top-level
-    classes."""
+    functions, classes and assigned names and of the non-dunder methods
+    of the top-level classes."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             out.append((node.name, node.name, node.lineno, node.end_lineno))
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for t in targets:
+                for name in ast.walk(t):
+                    if (isinstance(name, ast.Name)
+                            and not name.id.startswith("__")):
+                        out.append((name.id, name.id, node.lineno,
+                                    node.end_lineno))
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, ast.FunctionDef)
@@ -91,10 +101,15 @@ def test_detects_a_definition_nothing_else_mentions():
            "    def unused(self):\n"
            "        return 1\n"
            "    def named(self):\n"
-           "        return 2\n")
-    bench = "from lib import Box\ngetattr(Box(), 'named')\n"
+           "        return 2\n"
+           "LIMIT, SPARE = 3, 4\n"
+           "TABLE: dict = {'k': LIMIT}\n"
+           "ALONE = ALONE_TOO = 5\n")
+    bench = ("from lib import Box, TABLE\ngetattr(Box(), 'named')\n"
+             "print(ALONE_TOO)\n")
     assert unreached({"lib.py": lib, "bench.py": bench}, ["lib.py"]) == \
-        ["lib.py:3 only_tests", "lib.py:8 unused"]
+        ["lib.py:3 only_tests", "lib.py:8 unused", "lib.py:12 SPARE",
+         "lib.py:14 ALONE"]
     # the library API is kept without a caller, under its module's name
     api = "def format_problem(p):\n    return p\n"
     assert unreached({"frontend.py": api}, ["frontend.py"]) == []

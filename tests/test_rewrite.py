@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from oracles import reachable_values
+from oracles import (
+    DOUBLE_SYM, ITE_SYM, LESSTHAN_SYM, MINUS_SYM, reachable_values,
+)
 from unrealizer import grammar as gr
 from unrealizer import semilinear as sl
 from unrealizer.gfa import Factor, IntMonomial, IteMonomial, PolynomialSystem
@@ -22,7 +24,7 @@ def test_plus_form_is_identity_without_minus():
 
 def test_minus_becomes_sum_with_negated_twin():
     g = _g([("S", gr.INT)], "S",
-           [gr.Production("S", gr.MINUS_SYM, (gr.leaf(gr.var("x")), "S")),
+           [gr.Production("S", MINUS_SYM, (gr.leaf(gr.var("x")), "S")),
             gr.Production("S", gr.num(1), ())])
     h = to_plus_form(g)
     assert dict(h.nonterminals) == {"S": gr.INT, "S^-": gr.INT}
@@ -43,7 +45,7 @@ def test_minus_becomes_sum_with_negated_twin():
 
 def test_plus_form_preserves_semantics():
     g = _g([("S", gr.INT), ("T", gr.INT)], "S",
-           [gr.Production("S", gr.MINUS_SYM, ("T", "S")),
+           [gr.Production("S", MINUS_SYM, ("T", "S")),
             gr.Production("S", None, ("T",)),
             gr.Production("T", gr.plus(2), (gr.leaf(gr.var("x")), "T")),
             gr.Production("T", gr.num(2), ())])
@@ -65,7 +67,7 @@ def test_plus_form_preserves_semantics_random():
                              gr.leaf(gr.num(rng.randint(-2, 2)))])
             a2 = rng.choice(["S", gr.leaf(gr.var("x"))])
             if kind < 0.5:
-                prods.append(gr.Production("S", gr.MINUS_SYM, (a1, a2)))
+                prods.append(gr.Production("S", MINUS_SYM, (a1, a2)))
             else:
                 prods.append(gr.Production("S", gr.plus(2), (a1, a2)))
         g = _g([("S", gr.INT)], "S", prods)
@@ -76,11 +78,11 @@ def test_plus_form_preserves_semantics_random():
 
 def test_plus_form_negates_through_conditionals():
     g = _g([("S", gr.INT), ("B", gr.BOOL)], "S",
-           [gr.Production("S", gr.MINUS_SYM,
+           [gr.Production("S", MINUS_SYM,
                           (gr.leaf(gr.num(0)), "S")),
-            gr.Production("S", gr.ITE_SYM, ("B", "S", gr.leaf(gr.num(3)))),
+            gr.Production("S", ITE_SYM, ("B", "S", gr.leaf(gr.num(3)))),
             gr.Production("S", gr.num(1), ()),
-            gr.Production("B", gr.LESSTHAN_SYM,
+            gr.Production("B", LESSTHAN_SYM,
                           (gr.leaf(gr.var("x")), gr.leaf(gr.num(0))))])
     h = to_plus_form(g)
     sorts = dict(h.nonterminals)
@@ -99,7 +101,7 @@ def test_plus_form_negates_through_conditionals():
 
 def test_plus_form_prunes_unreachable_twins():
     g = _g([("S", gr.INT), ("T", gr.INT)], "S",
-           [gr.Production("S", gr.MINUS_SYM, ("T", "T")),
+           [gr.Production("S", MINUS_SYM, ("T", "T")),
             gr.Production("T", gr.var("x"), ()),
             gr.Production("T", gr.num(1), ())])
     h = to_plus_form(g)
@@ -109,8 +111,8 @@ def test_plus_form_prunes_unreachable_twins():
 
 def test_plus_form_rejects_unsupported_operators():
     g = _g([("S", gr.INT), ("T", gr.INT)], "S",
-           [gr.Production("S", gr.MINUS_SYM, (gr.leaf(gr.var("x")), "T")),
-            gr.Production("T", gr.DOUBLE_SYM, ("T",)),
+           [gr.Production("S", MINUS_SYM, (gr.leaf(gr.var("x")), "T")),
+            gr.Production("T", DOUBLE_SYM, ("T",)),
             gr.Production("T", gr.num(1), ())])
     with pytest.raises(gr.GrammarError):
         to_plus_form(g)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import reachable_values, term_size
+from oracles import ITE_SYM, LESSTHAN_SYM, reachable_values, term_size
 from unrealizer import grammar as gr
 from unrealizer import logic as lg
 from unrealizer import synth
@@ -158,8 +158,8 @@ def test_verify_valid_on_linear_match():
 
 def test_verify_splits_conditional_paths():
     # candidate ite(x<0, 0-x, x) = |x| against spec f(x) = x: cex at x < 0
-    t = gr.Term(gr.ITE_SYM,
-                (gr.Term(gr.LESSTHAN_SYM,
+    t = gr.Term(ITE_SYM,
+                (gr.Term(LESSTHAN_SYM,
                          (gr.leaf(gr.var("x")), gr.leaf(gr.num(0)))),
                  gr.leaf(gr.negvar("x")),
                  gr.leaf(gr.var("x"))))
@@ -173,7 +173,7 @@ def test_verify_splits_conditional_paths():
 
 def test_verify_boolean_candidate():
     # Boolean terms verify against specs over a 0/1 output
-    t = gr.Term(gr.LESSTHAN_SYM, (gr.leaf(gr.var("x")), gr.leaf(gr.num(0))))
+    t = gr.Term(LESSTHAN_SYM, (gr.leaf(gr.var("x")), gr.leaf(gr.num(0))))
     spec = lg.atom(lg.lin({"%out": 1}), "=", 1)
     status, row = verify(t, spec, ("x",))
     assert status == "cex"
@@ -194,8 +194,8 @@ def test_verify_falls_back_to_sampling_on_path_blowup():
     # finds the counterexample
     t = gr.leaf(gr.var("x"))
     for _ in range(13):
-        guard = gr.Term(gr.LESSTHAN_SYM, (t, gr.leaf(gr.num(1))))
-        t = gr.Term(gr.ITE_SYM, (guard, t, gr.leaf(gr.num(5))))
+        guard = gr.Term(LESSTHAN_SYM, (t, gr.leaf(gr.num(1))))
+        t = gr.Term(ITE_SYM, (guard, t, gr.leaf(gr.num(5))))
     spec = lg.atom(lg.lin({"%out": 1}), "=", lg.lin({"x": 1}))
     status, row = verify(t, spec, ("x",), path_cap=8,
                          rng=random.Random(1))
@@ -206,8 +206,8 @@ def test_verify_falls_back_to_sampling_on_path_blowup():
 def test_verify_sampling_cannot_prove_validity():
     t = gr.leaf(gr.var("x"))
     for _ in range(13):
-        guard = gr.Term(gr.LESSTHAN_SYM, (t, gr.leaf(gr.num(10 ** 9))))
-        t = gr.Term(gr.ITE_SYM, (guard, t, gr.leaf(gr.num(5))))
+        guard = gr.Term(LESSTHAN_SYM, (t, gr.leaf(gr.num(10 ** 9))))
+        t = gr.Term(ITE_SYM, (guard, t, gr.leaf(gr.num(5))))
     # on sampled inputs the term behaves as identity: verdict stays honest
     spec = lg.atom(lg.lin({"%out": 1}), "=", lg.lin({"x": 1}))
     status, _ = verify(t, spec, ("x",), path_cap=8, samples=50,

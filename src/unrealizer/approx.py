@@ -1,131 +1,91 @@
-"""Sound-but-incomplete backends: predicate abstraction over a finite
-predicate partition, and export of the equation system as constrained
-Horn clauses for external solvers.
+"""Sound-but-incomplete backends: predicate abstraction over the parity
+partition, and export of the equation system as constrained Horn clauses
+for external solvers.
 
 Both trade the exactness of the semi-linear domain for speed or for
 offloading: predicate abstraction can prove unrealizability but never
 realizability; the Horn export delegates the fixpoint to a CHC solver.
-"""
 
-from dataclasses import dataclass
+The predicates are {even, odd}: disjoint, and true of every integer
+between them.  An abstract value is a set of them, read as their
+disjunction, and abstracts the output on one example.
+"""
 
 from . import logic as lg
 from .grammar import (
-    AND, BOOL, DOUBLE, INC, INT, ITE, LESSTHAN, MINUS, NOT, NUM, NEGVAR,
-    PLUS, VAR, GrammarError, IterationOverrun, Term, eval_term, numeral,
+    AND, BOOL, DOUBLE, INC, INT, ITE, LESSTHAN, NOT, NUM, NEGVAR, PLUS, VAR,
+    GrammarError, IterationOverrun, Term, eval_term, numeral,
 )
 from .rewrite import to_plus_form
 
-
-@dataclass(frozen=True)
-class Predicate:
-    name: str
-    test: object       # int -> bool
-    condition: object  # output variable name -> LiaFormula
+PARITY = ("even", "odd")  # PARITY[v % 2] is the predicate that holds of v
 
 
-@dataclass(frozen=True)
-class PredicateDomain:
-    """Finite partition of the integers: predicates are pairwise
-    disjoint and jointly exhaustive; abstract values are name subsets.
-    The one domain is parity (`parity_domain`)."""
-
-    predicates: tuple  # of Predicate
-
-    @property
-    def names(self):
-        return frozenset(p.name for p in self.predicates)
-
-    def abstract(self, vector):
-        if len(vector) != 1:
-            raise GrammarError(
-                "per-output predicates need exactly one example")
-        return frozenset(p.name for p in self.predicates
-                         if p.test(vector[0]))
-
-    def concretize(self, subset, names):
-        if len(names) != 1:
-            raise GrammarError(
-                "per-output predicates need exactly one example")
-        by_name = {p.name: p for p in self.predicates}
-        return lg.disj(*(by_name[n].condition(names[0])
-                         for n in sorted(subset)))
-
-    def transform(self, kind, args):
-        """Parity of an operator's result from its arguments' parities;
-        an operator parity does not track may give either."""
-        if any(not a for a in args):
-            return frozenset()
-        if kind in (PLUS, MINUS):
-            out = args[0]
-            for a in args[1:]:
-                out = frozenset("even" if p == q else "odd"
-                                for p in out for q in a)
-            return out
-        if kind == DOUBLE:
-            return frozenset({"even"})
-        if kind == INC:
-            return frozenset("odd" if p == "even" else "even" for p in args[0])
-        if kind == ITE:
-            return args[0] | args[1]
-        return self.names
+def abstract(v):
+    return frozenset({PARITY[v % 2]})
 
 
-def _even(o):
-    return lg.exists(("k",), lg.atom(lg.lin(((o, 1),)), "=",
-                                     lg.lin((("k", 2),))), nonneg=False)
+def concretize(value, names):
+    """Formula on the one output in ``names``: its parity is in ``value``."""
+    (o,) = names
+    return lg.disj(*(  # o = 2k + r for the remainder r of each parity
+        lg.exists(("k",), lg.atom(lg.lin(((o, 1),)), "=",
+                                  lg.lin((("k", 2),), r)), nonneg=False)
+        for r, p in enumerate(PARITY) if p in value))
 
 
-def _odd(o):
-    return lg.exists(("k",), lg.atom(lg.lin(((o, 1),)), "=",
-                                     lg.lin((("k", 2),), 1)), nonneg=False)
+def transform(kind, args):
+    """Parities the result of `+`, `-`, `double`, `inc` or `ite` may
+    take, from the parities of its integer arguments; an `ite` passes
+    only its branches, since parity does not track its guard."""
+    if not all(args):
+        return frozenset()  # an empty argument denies the production
+    if kind == DOUBLE:
+        return frozenset({"even"})
+    if kind == INC:
+        return frozenset(PARITY[p == "even"] for p in args[0])
+    if kind == ITE:
+        return args[0] | args[1]
+    out = args[0]  # a sum or a difference: odd when the parities differ
+    for a in args[1:]:
+        out = frozenset(PARITY[p != q] for p in out for q in a)
+    return out
 
 
-def parity_domain():
-    return PredicateDomain((
-        Predicate("even", lambda v: v % 2 == 0, _even),
-        Predicate("odd", lambda v: v % 2 != 0, _odd),
-    ))
-
-
-def predabs_solve(g, e, dom):
-    """Least fixpoint of the abstract semantics over subsets of the
-    predicate partition; sound overapproximation of reachable outputs."""
+def predabs_solve(g, e):
+    """Least fixpoint of the parity semantics on the one example in
+    ``e``: a sound overapproximation of each integer nonterminal's
+    outputs."""
+    if e.dimension != 1:
+        raise GrammarError("parity predicates need exactly one example")
     int_nts = [n for n, s in g.nonterminals if s == INT]
     nu = {n: frozenset() for n in int_nts}
-    bound = (2 ** len(dom.predicates)) * max(1, len(int_nts)) + 1
-    iterations = 0
-    while True:
-        iterations += 1
-        if iterations > bound:
-            raise IterationOverrun(
-                f"predicate iteration exceeded its bound of {bound}")
+    # every pass but the last adds a predicate to some nonterminal
+    bound = len(PARITY) * max(1, len(int_nts)) + 1
+    for _ in range(bound):
         new = dict(nu)
         for p in g.productions:
             if g.sorts.get(p.lhs) != INT:
                 continue
             if p.is_alias:
-                value = _pred_arg(p.args[0], nu, dom, e)
+                value = _pred_arg(p.args[0], nu, e)
+            elif p.symbol.kind in (NUM, VAR, NEGVAR):
+                value = _pred_arg(Term(p.symbol), nu, e)
             else:
-                k = p.symbol.kind
-                if k in (NUM, VAR, NEGVAR):
-                    value = dom.abstract(eval_term(Term(p.symbol), e))
-                elif k == ITE:
-                    value = dom.transform(
-                        ITE, [_pred_arg(p.args[1], nu, dom, e),
-                              _pred_arg(p.args[2], nu, dom, e)])
-                else:
-                    value = dom.transform(
-                        k, [_pred_arg(a, nu, dom, e) for a in p.args])
+                args = p.args[1:] if p.symbol.kind == ITE else p.args
+                value = transform(p.symbol.kind,
+                                  [_pred_arg(a, nu, e) for a in args])
             new[p.lhs] = new[p.lhs] | value
         if new == nu:
             return nu
         nu = new
+    raise IterationOverrun(f"predicate iteration exceeded its bound of {bound}")
 
 
-def _pred_arg(a, nu, dom, e):
+def _pred_arg(a, nu, e):
     if isinstance(a, Term):
-        return dom.abstract(eval_term(a, e))
+        (v,) = eval_term(a, e)
+        return abstract(v)
     return nu.get(a, frozenset())
 
 

@@ -46,17 +46,16 @@ class CheckResult:
 def check_unrealizable(g, spec, e, solver=None, mode="sl"):
     """Exact decision on the examples in ``e`` (semi-linear mode), or a
     sound one-sided answer (predicate-abstraction mode, on one example
-    only: its predicates abstract a single output)."""
+    only: its parity predicates abstract a single output)."""
     solver = solver if solver is not None else Solver()
     ps = specialize(spec, e)
     try:
         if mode == "predabs":
             if e.dimension != 1:
                 return CheckResult("Unknown", reason="predabs-single-example")
-            dom = approx.parity_domain()
-            values = approx.predabs_solve(g, e, dom)
-            gamma = dom.concretize(values[g.start],
-                                   logic.output_names(e.dimension))
+            values = approx.predabs_solve(g, e)
+            gamma = approx.concretize(values[g.start],
+                                      logic.output_names(e.dimension))
             status, witness = logic.decide(
                 logic.conj(gamma, ps.conjunction()), solver)
             if status == "unsat":

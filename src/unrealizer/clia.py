@@ -29,8 +29,6 @@ def _ref(arg, nu):
 
 
 def _bool_value(m, nu_bool, nu_int, lt):
-    if m.op == "const":
-        return m.args[0]
     if m.op == "copy":
         return _ref(m.args[0], nu_bool)
     if m.op == "not":

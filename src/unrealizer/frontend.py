@@ -177,18 +177,11 @@ def _parse_arg(node, nts, variables):
 
 
 def _parse_production(lhs, node, nts, variables):
-    if node.kind == "int":
-        return Production(lhs, num(node.value), ())
-    if node.kind == "sym":
-        name = node.value
-        if name in nts:
-            return Production(lhs, None, (name,))
-        if name in variables:
-            return Production(lhs, var(name), ())
-        raise ParseError(f"unknown symbol {name!r}", node.line, node.col)
-    n = _negated_numeral(node)
-    if n is not None:
-        return Production(lhs, num(n), ())
+    if node.kind != "list" or _negated_numeral(node) is not None:
+        arg = _parse_arg(node, nts, variables)
+        if isinstance(arg, str):
+            return Production(lhs, None, (arg,))
+        return Production(lhs, arg.symbol, ())
     items = node.value
     if not items or items[0].kind != "sym":
         raise ParseError("expected an operator application", node.line, node.col)

@@ -8,7 +8,6 @@ conditional and Boolean productions keep their operator symbolic until
 the mixed solver freezes or expands them.
 """
 
-import heapq
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,7 +36,7 @@ class IteMonomial(NamedTuple):
 
 
 class BoolMonomial(NamedTuple):
-    op: str            # "const", "copy", "not", "and" or "lessthan"
+    op: str            # "copy", "not", "and" or "lessthan"
     args: tuple = ()   # names, Boolean-vector sets, or SemiLinearSets
 
 
@@ -81,8 +80,6 @@ def _mono_str(m, dim):
     if isinstance(m, IteMonomial):
         return (f"ite({_ref_str(m.guard)}, {_ref_str(m.then_arg)}, "
                 f"{_ref_str(m.else_arg)})")
-    if m.op == "const":
-        return bset_str(m.args[0])
     if m.op == "copy":
         return _ref_str(m.args[0])
     return f"{'lt' if m.op == 'lessthan' else m.op}(" + \
@@ -166,78 +163,47 @@ def dependencies(sys):
 
 
 def stratify(sys):
-    """SCCs of the dependence graph in topological order.
-
-    Each stratum only reads values from earlier strata (and itself);
-    ties are broken by smallest member name for reproducibility.
+    """SCCs of the dependence graph, each a name-sorted tuple, in the
+    order Tarjan's algorithm finishes them: a stratum reads only itself
+    and earlier strata.  Roots and successors are visited in name order,
+    so the order is reproducible.
     """
     deps = dependencies(sys)
-    order = sorted(deps)
     index, low, onstack = {}, {}, set()
-    stack, sccs, counter = [], [], [0]
+    stack, work, sccs = [], [], []
 
-    def strongconnect(root):
-        work = [(root, iter(sorted(deps[root])))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        onstack.add(root)
+    def push(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        onstack.add(v)
+        work.append((v, iter(sorted(deps[v]))))
+
+    for root in sorted(deps):
+        if root in index:
+            continue
+        push(root)
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
                 if w not in deps:
                     continue
                 if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(sorted(deps[w]))))
-                    advanced = True
+                    push(w)
                     break
                 if w in onstack:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(tuple(sorted(comp)))
-
-    for nt in order:
-        if nt not in index:
-            strongconnect(nt)
-
-    comp_of = {nt: i for i, comp in enumerate(sccs) for nt in comp}
-    succs = [set() for _ in sccs]
-    indegree = [0] * len(sccs)
-    for nt, ds in deps.items():
-        for d in ds:
-            if d in comp_of and comp_of[d] != comp_of[nt]:
-                if comp_of[nt] not in succs[comp_of[d]]:
-                    succs[comp_of[d]].add(comp_of[nt])
-                    indegree[comp_of[nt]] += 1
-    heap = [(sccs[i][0], i) for i in range(len(sccs)) if indegree[i] == 0]
-    heapq.heapify(heap)
-    out = []
-    while heap:
-        _, i = heapq.heappop(heap)
-        out.append(sccs[i])
-        for j in succs[i]:
-            indegree[j] -= 1
-            if indegree[j] == 0:
-                heapq.heappush(heap, (sccs[j][0], j))
-    return out
+            else:  # every successor is done, so v finishes
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    i = stack.index(v)
+                    comp = stack[i:]
+                    del stack[i:]
+                    onstack.difference_update(comp)
+                    sccs.append(tuple(sorted(comp)))
+    return sccs
 
 
 def substitute(sys, solved):

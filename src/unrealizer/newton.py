@@ -119,7 +119,7 @@ def npa_solve(sys, solver=None, trace=None):
     for step in range(len(variables)):
         a, c = {}, {}
         for x, monos in sys.equations.items():
-            total = sl.zero()
+            total = sl.ZERO
             for m in monos:
                 total = total.combine(monomial_value(m, nu))
                 for y in {f.var for f in m.factors}:

@@ -155,10 +155,6 @@ def sls(components: Iterable[LinearSet]) -> SemiLinearSet:
 ZERO = SemiLinearSet(())
 
 
-def zero() -> SemiLinearSet:
-    return ZERO
-
-
 def one(dim: int) -> SemiLinearSet:
     return sls([linset((0,) * dim)])
 

@@ -215,7 +215,7 @@ def _random_bool_system(rng, names, dim):
 
     equations = {}
     for x in names:
-        monos = [BoolMonomial("const", (bset(),))]
+        monos = [BoolMonomial("copy", (bset(),))]
         for _ in range(rng.randint(0, 2)):
             op = rng.choice(("copy", "not", "and"))
             if op == "and":
@@ -246,7 +246,7 @@ def _newton_delta(sys, nu):
     variables = tuple(sys.equations)
     coeffs, consts = {}, {}
     for x, monos in sys.equations.items():
-        total = sl.zero()
+        total = sl.ZERO
         for m in monos:
             total = total.combine(monomial_value(m, nu))
             for y in {f.var for f in m.factors}:

@@ -7,7 +7,10 @@ import pytest
 from oracles import INC_SYM, LESSTHAN_SYM, reachable_values
 from unrealizer import grammar as gr
 from unrealizer import logic as lg
-from unrealizer.approx import horn_export, parity_domain, predabs_solve
+from unrealizer import approx
+from unrealizer.approx import (
+    PARITY, abstract, concretize, horn_export, predabs_solve, transform,
+)
 from unrealizer.frontend import parse_problem, specialize
 from unrealizer.ilp import Solver
 
@@ -21,47 +24,42 @@ def _problem(name):
 
 
 def test_parity_domain_partitions_integers():
-    dom = parity_domain()
-    assert dom.names == {"even", "odd"}
+    assert set(PARITY) == {"even", "odd"}
     for v in range(-5, 6):
-        value = dom.abstract((v,))
+        value = abstract(v)
         assert len(value) == 1  # disjoint
-    assert dom.abstract((4,)) == frozenset({"even"})
-    assert dom.abstract((-3,)) == frozenset({"odd"})
+    assert abstract(4) == frozenset({"even"})
+    assert abstract(-3) == frozenset({"odd"})
 
 
 def test_parity_concretize_formulas():
-    dom = parity_domain()
     solver = Solver()
-    even = dom.concretize(frozenset({"even"}), ("o1",))
+    even = concretize(frozenset({"even"}), ("o1",))
     order = lambda val: lg.conj(even, lg.atom(lg.lin({"o1": 1}), "=", val))
     assert lg.decide(order(-4), solver)[0] == "sat"  # signed multipliers
     assert lg.decide(order(7), solver)[0] == "unsat"
-    both = dom.concretize(frozenset({"even", "odd"}), ("o1",))
+    both = concretize(frozenset({"even", "odd"}), ("o1",))
     assert lg.decide(lg.conj(both, lg.atom(lg.lin({"o1": 1}), "=", 7)),
                      solver)[0] == "sat"
-    assert dom.concretize(frozenset(), ("o1",)) is lg.FALSE
+    assert concretize(frozenset(), ("o1",)) is lg.FALSE
 
 
 def test_parity_transform_table():
-    dom = parity_domain()
     even = frozenset({"even"})
     odd = frozenset({"odd"})
-    assert dom.transform(gr.PLUS, [odd, odd]) == even
-    assert dom.transform(gr.PLUS, [odd, even]) == odd
-    assert dom.transform(gr.PLUS, [odd | even, even]) == odd | even
-    assert dom.transform(gr.DOUBLE, [odd | even]) == even
-    assert dom.transform(gr.INC, [even]) == odd
-    assert dom.transform(gr.ITE, [even, odd]) == even | odd
+    assert transform(gr.PLUS, [odd, odd]) == even
+    assert transform(gr.PLUS, [odd, even]) == odd
+    assert transform(gr.PLUS, [odd | even, even]) == odd | even
+    assert transform(gr.DOUBLE, [odd | even]) == even
+    assert transform(gr.INC, [even]) == odd
+    assert transform(gr.ITE, [even, odd]) == even | odd
     # an empty argument denies the production
-    assert dom.transform(gr.PLUS, [frozenset(), even]) == frozenset()
-    # unknown operators fall back to the whole partition
-    assert dom.transform(gr.LESSTHAN, [even, even]) == dom.names
+    assert transform(gr.PLUS, [frozenset(), even]) == frozenset()
 
 
 def test_predabs_doubling_chain_golden():
     p = _problem("parity.sy")
-    nu = predabs_solve(p.grammar, E3, parity_domain())
+    nu = predabs_solve(p.grammar, E3)
     assert nu["Start"] == frozenset({"even"})
     assert nu["S1"] == frozenset({"even", "odd"})
 
@@ -69,7 +67,7 @@ def test_predabs_doubling_chain_golden():
 def test_predabs_constant_leaf():
     g = gr.Rtg((("Start", gr.INT),), "Start",
                (gr.Production("Start", gr.num(2), ()),))
-    nu = predabs_solve(g, E3, parity_domain())
+    nu = predabs_solve(g, E3)
     assert nu["Start"] == frozenset({"even"})
 
 
@@ -79,39 +77,70 @@ def test_predabs_triple_sum_is_imprecise():
     g = gr.Rtg((("Start", gr.INT),), "Start",
                (gr.Production("Start", gr.plus(2), ("Start", "Start")),
                 gr.Production("Start", gr.num(3), ())))
-    nu = predabs_solve(g, E3, parity_domain())
+    nu = predabs_solve(g, E3)
     assert nu["Start"] == frozenset({"even", "odd"})
 
 
 def test_predabs_soundness_on_enumerated_trees():
-    dom = parity_domain()
     for name in ("parity.sy", "gconst.sy"):
         p = _problem(name)
         e = gr.ExampleSet(("x",), ((5,),))
-        nu = predabs_solve(p.grammar, e, dom)
+        nu = predabs_solve(p.grammar, e)
         for nt, sort in p.grammar.nonterminals:
             if sort != gr.INT:
                 continue
-            for vec in reachable_values(p.grammar, nt, 6, e):
-                assert dom.abstract(vec) <= nu[nt]
+            for (v,) in reachable_values(p.grammar, nt, 6, e):
+                assert abstract(v) <= nu[nt]
 
 
-def test_predabs_iteration_bound():
-    # |N| chained nonterminals still settle within (2^|P|) * |N| + 1 passes
+def test_predabs_iteration_bound(monkeypatch):
+    # |N| chained nonterminals settle within |P| * |N| + 1 passes
     nts = [(f"N{i}", gr.INT) for i in range(6)]
     prods = [gr.Production("N0", gr.num(1), ())]
     prods += [gr.Production(f"N{i}", INC_SYM, (f"N{i - 1}",))
               for i in range(1, 6)]
     g = gr.Rtg(tuple(nts), "N5", tuple(prods))
-    nu = predabs_solve(g, E3, parity_domain())
+    nu = predabs_solve(g, E3)
     # parity alternates down the chain: odd, even, odd, ...
     assert nu["N0"] == frozenset({"odd"})
     assert nu["N5"] == frozenset({"even"})
 
+    # a cycle N0 ::= 1 | inc(N5), Ni ::= N(i-1) adds one predicate per
+    # pass, so it takes the whole bound: |P| * |N| passes that grow a
+    # value and one that confirms the fixpoint
+    prods = [gr.Production("N0", gr.num(1), ()),
+             gr.Production("N0", INC_SYM, ("N5",))]
+    prods += [gr.Production(f"N{i}", None, (f"N{i - 1}",))
+              for i in range(1, 6)]
+    passes = []
+
+    def counted(kind, args):  # N0's inc is the one transform per pass
+        passes.append(kind)
+        return transform(kind, args)
+
+    monkeypatch.setattr(approx, "transform", counted)
+    cycle = gr.Rtg(tuple(nts), "N5", tuple(prods))
+    nu = predabs_solve(cycle, E3)
+    assert all(v == frozenset(PARITY) for v in nu.values())
+    assert len(passes) == len(PARITY) * len(nts) + 1
+
+    # a transformer that never settles overruns after exactly that many
+    passes.clear()
+
+    def unsettled(kind, args):  # a value no earlier pass has seen
+        passes.append(kind)
+        return frozenset({len(passes)})
+
+    monkeypatch.setattr(approx, "transform", unsettled)
+    with pytest.raises(gr.IterationOverrun):
+        predabs_solve(cycle, E3)
+    assert len(passes) == len(PARITY) * len(nts) + 1
+
 
 def test_predabs_requires_single_example():
     with pytest.raises(gr.GrammarError):
-        parity_domain().abstract((1, 2))
+        predabs_solve(_problem("parity.sy").grammar,
+                      gr.ExampleSet(("x",), ((1,), (2,))))
 
 
 def _horn(name, rows):

@@ -67,7 +67,7 @@ def test_solve_bool_saturates_within_bound():
     # a chain that adds one pattern per pass stays within 2^d * |N| + 1
     lt = LessThanCache(Solver())
     equations = {
-        "A": (BoolMonomial("const", (frozenset({(T, T)}),)),
+        "A": (BoolMonomial("copy", (frozenset({(T, T)}),)),
               BoolMonomial("not", ("A",)),
               BoolMonomial("and", ("A", "B"))),
         "B": (BoolMonomial("not", ("A",)),),
@@ -86,7 +86,7 @@ def test_expand_ite_projection_golden():
         {"Start": (IteMonomial("BExp", exp3, "Start"),
                    IntMonomial(exp2),
                    IntMonomial(exp3)),
-         "BExp": (BoolMonomial("const", (frozenset({(T, F)}),)),)},
+         "BExp": (BoolMonomial("copy", (frozenset({(T, F)}),)),)},
         2, {"Start": gr.INT, "BExp": gr.BOOL})
     out = clia.expand_ite(sys, {"BExp": frozenset({(T, F)})})
     assert tuple(out.equations) == ("Start",)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from oracles import AND_SYM, ITE_SYM, LESSTHAN_SYM, MINUS_SYM, NOT_SYM
@@ -109,13 +111,50 @@ def test_stratify_groups_mutual_recursion():
     assert strata == [("B", "S")]
 
 
-def test_stratify_breaks_ties_by_name():
+def test_stratify_follows_tarjan_finish_order():
+    # roots are taken in name order: A finishes first, then M's
+    # depth-first visit finishes Z before M itself
     g = gr.Rtg((("A", gr.INT), ("Z", gr.INT), ("M", gr.INT)), "M",
                (gr.Production("A", gr.num(1), ()),
                 gr.Production("Z", gr.num(2), ()),
                 gr.Production("M", gr.plus(2), ("A", "Z"))))
     strata = gfa.stratify(gfa.build_equations(g, E12))
     assert strata == [("A",), ("Z",), ("M",)]
+
+
+def _reaches(deps):
+    """Reflexive-transitive closure of the read relation."""
+    reach = {v: {v} | deps[v] for v in deps}
+    for k in deps:
+        for v in deps:
+            if k in reach[v]:
+                reach[v] |= reach[k]
+    return reach
+
+
+def test_stratify_random_graphs_against_reachability_oracle():
+    rng = random.Random(0)
+    for _ in range(300):
+        names = [f"N{i}" for i in rng.sample(range(40), rng.randint(1, 12))]
+        # "X" is read but has no equation, like a solved nonterminal
+        pool = names + ["X"]
+        deps = {v: set(rng.sample(pool, rng.randint(0, min(3, len(pool)))))
+                for v in names}
+        sys = gfa.PolynomialSystem(
+            {v: (IntMonomial(sl.one(1), tuple(Factor(w) for w in sorted(ds))),
+                 IntMonomial(sl.one(1)))
+             for v, ds in deps.items()},
+            1, {v: gr.INT for v in names})
+        strata = gfa.stratify(sys)
+        reach = _reaches({v: ds - {"X"} for v, ds in deps.items()})
+        sccs = {tuple(sorted(w for w in names
+                             if w in reach[v] and v in reach[w]))
+                for v in names}
+        assert sorted(strata) == sorted(sccs)
+        seen = set()
+        for stratum in strata:
+            seen |= set(stratum)
+            assert all(deps[v] - {"X"} <= seen for v in stratum)
 
 
 def test_stratify_on_one_example_problem():

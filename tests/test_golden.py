@@ -30,6 +30,10 @@ CASES = [
     ("check_max2.json", 10, ["check", "max2.sy", "--seed", "0", "--json"]),
     ("check_predabs_parity.json", 0,
      ["check", "parity.sy", "--mode", "predabs", "--seed", "0", "--json"]),
+    # round 1 ends abstraction-sat; the later rounds hold two examples
+    ("check_predabs_g2.json", 20,
+     ["check", "g2.sy", "--mode", "predabs", "--seed", "0",
+      "--max-rounds", "4", "--json"]),
     ("check_examples_max3.json", 10,
      ["check-examples", "max3.sy", "--json", "--examples", MAX3_EXAMPLES]),
     ("dump_equations_g2.txt", 0,

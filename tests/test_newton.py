@@ -139,7 +139,7 @@ def _npa_every_step(sys, solver):
     for _ in variables:
         a, c = {}, {}
         for x, monos in sys.equations.items():
-            total = sl.zero()
+            total = sl.ZERO
             for m in monos:
                 total = total.combine(monomial_value(m, nu))
                 for y in {f.var for f in m.factors}:
@@ -263,7 +263,7 @@ def test_npa_with_solver_prunes_subsumed_components():
 
 def test_npa_rejects_non_product_monomials():
     from unrealizer.gfa import BoolMonomial
-    sys = PolynomialSystem({"B": (BoolMonomial("const", (frozenset(),)),)},
+    sys = PolynomialSystem({"B": (BoolMonomial("copy", (frozenset(),)),)},
                            1, {"B": gr.BOOL})
     with pytest.raises(ValueError):
         npa_solve(sys)

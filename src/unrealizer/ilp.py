@@ -346,7 +346,10 @@ class Closure:
     "unsat", and when every variable ends fixed that point is the only
     integer solution, the one branch and bound would return too.
 
-    `add` returns a new closure and leaves its parent as it was.  Bounds
+    `add` returns a new closure and leaves its parent as it was.  A child
+    that declares nothing new shares its parent's `variables`, `lower`,
+    `upper` and `fixed` dicts, and `_bound` copies the last three before
+    its first write, so a row that tightens no bound copies nothing.  Bounds
     only tighten and fixed variables only accumulate, so the closure of a
     parent's rows plus one more row equals the closure of all of them
     taken in at once, in any order: a search that extends a prefix by one
@@ -378,20 +381,24 @@ class Closure:
         new = Closure.__new__(Closure)
         new.unsat, new.pending = self.unsat, self.pending
         new.checked = self.checked
-        new.variables = declared = dict(self.variables)
-        new.lower = lower = dict(self.lower)
-        new.upper = upper = dict(self.upper)
-        new.fixed = fixed = dict(self.fixed)
-        seen = len(fixed)
+        declared = self.variables
+        new.lower, new.upper, new.fixed = self.lower, self.upper, self.fixed
         now_nonneg = []
         for v, nonneg in variables:
+            if v in declared and (declared[v] or not nonneg):
+                continue
+            if declared is self.variables:
+                declared = dict(declared)
+                new._own(self)
             if v not in declared:
                 declared[v] = nonneg
-                lower[v] = 0 if nonneg else None
-                upper[v] = None
-            elif nonneg and not declared[v]:
+                new.lower[v] = 0 if nonneg else None
+                new.upper[v] = None
+            else:
                 declared[v] = True
                 now_nonneg.append(v)
+        new.variables = declared
+        seen = len(new.fixed)
         constraints = tuple(constraints)
         scan = []
         for c in constraints:
@@ -408,9 +415,10 @@ class Closure:
         if new.unsat:
             return new
         for v in now_nonneg:
-            if not new._bound(v, 0, None):
+            if not new._bound(v, 0, None, self):
                 return new
         left = list(self.pending)
+        fixed = new.fixed
         while True:
             for coeffs, rel, rhs in scan:
                 if not fixed.keys().isdisjoint(coeffs):
@@ -431,8 +439,9 @@ class Closure:
                 ((v, a),) = coeffs.items()
                 lo = -(rhs // -a) if rel == EQ or a < 0 else None
                 hi = rhs // a if rel == EQ or a > 0 else None
-                if not new._bound(v, lo, hi):
+                if not new._bound(v, lo, hi, self):
                     return new
+                fixed = new.fixed  # a copy once `_bound` has written
             if len(fixed) == seen:
                 break
             # a newly fixed variable may reduce rows taken in earlier
@@ -441,19 +450,30 @@ class Closure:
         new.pending = tuple(left)
         return new
 
-    def _bound(self, v: str, lo: int | None, hi: int | None) -> bool:
+    def _own(self, parent: Closure) -> None:
+        """Copy the bound dicts this closure still shares with `parent`."""
+        if self.lower is parent.lower:
+            self.lower = dict(self.lower)
+            self.upper = dict(self.upper)
+            self.fixed = dict(self.fixed)
+
+    def _bound(self, v: str, lo: int | None, hi: int | None,
+               parent: Closure) -> bool:
         """Tighten v's bounds; fix v where they meet.  False (and the
-        closure marked unsat) where they cross."""
-        if lo is not None and (self.lower[v] is None or lo > self.lower[v]):
-            self.lower[v] = lo
-        if hi is not None and (self.upper[v] is None or hi < self.upper[v]):
-            self.upper[v] = hi
-        lo, hi = self.lower[v], self.upper[v]
-        if lo is not None and hi is not None:
-            if lo > hi:
-                self.unsat = True
-                return False
-            if lo == hi:
+        closure marked unsat) where they cross.  The bound dicts are
+        copied from `parent` before the first write."""
+        old_lo, old_hi = self.lower[v], self.upper[v]
+        if lo is None or (old_lo is not None and lo <= old_lo):
+            lo = old_lo
+        if hi is None or (old_hi is not None and hi >= old_hi):
+            hi = old_hi
+        if lo is not None and hi is not None and lo > hi:
+            self.unsat = True
+            return False
+        if lo != old_lo or hi != old_hi:
+            self._own(parent)
+            self.lower[v], self.upper[v] = lo, hi
+            if lo is not None and lo == hi:
                 self.fixed[v] = lo
         return True
 

@@ -256,9 +256,10 @@ def _freshen(g, renaming, fresh):
     # itself is a reference cycle left to the cyclic collector on every call
     if g.op == "atom":
         lhs, rel, rhs = g.atom
-        ren = {v: lin(((renaming[v], 1),)) for v in
-               (lhs.variables() | rhs.variables()) & renaming.keys()}
-        return substitute(g, ren) if ren else g
+        if renaming.keys().isdisjoint(lhs.variables() | rhs.variables()):
+            return g
+        return LiaFormula("atom", atom=(_rename(lhs, renaming), rel,
+                                        _rename(rhs, renaming)))
     if g.op == "exists":
         ren = dict(renaming)
         names = []
@@ -271,6 +272,16 @@ def _freshen(g, renaming, fresh):
         return LiaFormula(g.op, tuple([_freshen(h, renaming, fresh)
                                        for h in g.args]))
     return g
+
+
+def _rename(t, renaming):
+    """t with its variables renamed: `_sub_term` with each renamed
+    variable mapped to its new name, summed in one dict, sorted once."""
+    acc = {}
+    for v, c in t.coeffs:
+        v = renaming.get(v, v)
+        acc[v] = acc.get(v, 0) + c
+    return LinTerm(tuple(sorted((v, c) for v, c in acc.items() if c)), t.const)
 
 
 def _branches(f, solver=None, rows=None):

@@ -100,7 +100,9 @@ def npa_solve(sys, solver=None, trace=None):
     iterates never exceed the least fixpoint, so nu is that fixpoint.
     A step is a function of nu alone, so every later step would repeat
     it.  Each step's valuation is appended to `trace`, the repeating one
-    included.
+    included.  A system with no factor in any monomial runs no step and
+    appends nothing: its initial valuation, the join of its constants, is
+    what its one step would return.
     """
     variables = tuple(sys.equations)
     member = solver.member if solver is not None else None
@@ -115,6 +117,8 @@ def npa_solve(sys, solver=None, trace=None):
         if any(not isinstance(m, IntMonomial) for m in monos):
             raise ValueError("only integer product monomials can be solved here")
         nu[x] = tidy(sl.combine_all(consts))
+    if not any(m.factors for monos in sys.equations.values() for m in monos):
+        return nu
 
     for step in range(len(variables)):
         a, c = {}, {}

@@ -13,7 +13,14 @@ with ZERO = {} (empty union) and ONE = {<0, {}>}.
 
 Values are canonical on construction: generators are deduplicated, sorted,
 and never zero; components are deduplicated and sorted; so structural
-equality is semantic equality of the written form.
+equality is semantic equality of the written form.  Only this module
+builds values (`sls`, `linset` and the operations below), so every value
+is canonical, and the operations take exact shortcuts that rest on it:
+`extend` returns its other operand when one is ONE, `combine` when one is
+ZERO or both are equal, and a product component's generators are the
+sorted union of two canonical tuples, with no `linset` to re-check them.
+Each shortcut returns the value the general path builds, after the same
+dimension check.
 
 `LinearSet` and `SemiLinearSet` are `typing.NamedTuple`s.  They compare,
 order and hash as the plain tuples of their fields, exactly as a frozen
@@ -80,16 +87,27 @@ class SemiLinearSet(NamedTuple):
     def combine(self, other: "SemiLinearSet") -> "SemiLinearSet":
         """(+): union of the two sets of components."""
         _check_dims(self, other)
+        if not other.components or self == other:
+            return self
+        if not self.components:
+            return other
         return sls(self.components + other.components)
 
     def extend(self, other: "SemiLinearSet") -> "SemiLinearSet":
         """(x): pointwise sums, {<u1+u2, V1 | V2>} for all component pairs."""
         _check_dims(self, other)
-        out = []
+        if _is_one(other):
+            return self
+        if _is_one(self):
+            return other
+        out = set()
         for a, b in product(self.components, other.components):
             base = tuple([x + y for x, y in zip(a.base, b.base)])
-            out.append(linset(base, a.gens + b.gens))
-        return sls(out)
+            gens = a.gens + b.gens  # canonical when either one is empty
+            if a.gens and b.gens:
+                gens = tuple(sorted(set(gens)))
+            out.add(LinearSet(base, gens))
+        return SemiLinearSet(tuple(sorted(out)))
 
     def star(self, dim: int | None = None) -> "SemiLinearSet":
         """Closure under (x): <0, union of all bases and generators>.
@@ -132,10 +150,20 @@ class SemiLinearSet(NamedTuple):
         """
         pts: set[Vector] = set()
         for c in self.components:
-            for ls in product(range(budget + 1), repeat=len(c.gens)):
-                pts.add(tuple([b + sum(l * g[i] for l, g in zip(ls, c.gens))
-                               for i, b in enumerate(c.base)]))
+            layer = {c.base}
+            for g in c.gens:
+                # each point of the layer plus l*g for l = 0..budget
+                steps = [tuple([l * x for x in g]) for l in range(budget + 1)]
+                layer = {tuple([x + y for x, y in zip(p, s)])
+                         for p in layer for s in steps}
+            pts |= layer
         return frozenset(pts)
+
+
+def _is_one(a: SemiLinearSet) -> bool:
+    """Whether a is ONE = {<0, {}>} of its dimension."""
+    return (len(a.components) == 1 and not a.components[0].gens
+            and not any(a.components[0].base))
 
 
 def _check_dims(a: SemiLinearSet, b: SemiLinearSet) -> None:

@@ -761,3 +761,38 @@ def test_cegis_leaf_simplex_matches_the_rational_vertex(d, monkeypatch):
     res = ilp.Solver().feasible(sys)
     assert res.status == "sat" and res.nodes >= 1
     assert res.witness["q1"] == d - 1 and solved[0] == 2 * d
+
+
+def test_children_leave_their_parent_and_siblings_as_they_were():
+    # a child that takes in a row without a new bound shares its parent's
+    # dicts; one whose propagation writes must copy them first
+    variables = {"x": True, "y": True, "z": False}
+    first = ilp.constraint({"x": 1, "y": 1}, "<=", 6)
+    parent = ilp.system(variables, [first])
+    before = closure_state(parent)
+    rows = {
+        "two-variable row": ilp.constraint({"x": 1, "z": -1}, "<=", 2),
+        "fix": ilp.constraint({"x": 1}, "=", 2),
+        "tighten": ilp.constraint({"y": 1}, "<=", 3),
+        "fix a free variable": ilp.constraint({"z": 1}, "=", -1),
+        "cross": ilp.constraint({"x": 1}, "<=", -1),
+    }
+    children = {name: parent.add([row]) for name, row in rows.items()}
+    assert closure_state(parent) == before
+    assert children["two-variable row"].lower is parent.lower
+    assert children["fix"].fixed == {"x": 2}
+    assert children["tighten"].upper["y"] == 3
+    assert children["cross"].unsat
+    for name, row in rows.items():
+        child = children[name]
+        alone = ilp.system(variables, [first, row])
+        if not alone.unsat:  # an unsat closure keeps what it took in
+            assert closure_state(child) == closure_state(alone), name
+        assert ilp.Solver().feasible(child) == \
+            ilp.Solver().feasible(alone), name
+    # a grandchild that writes leaves its parent, the sharing child, alone
+    shared = children["two-variable row"]
+    kept = closure_state(shared)
+    grandchild = shared.add([ilp.constraint({"z": 1}, "=", 0)])
+    assert grandchild.fixed == {"z": 0} and grandchild.upper["x"] == 2
+    assert closure_state(shared) == kept and closure_state(parent) == before

@@ -440,3 +440,58 @@ def test_branch_closures_hold_the_branch_systems():
                 (oracle.variables, oracle.constraints), f
             seen += 1
     assert seen >= 60
+
+
+def _freshen_by_substitution(g, renaming, fresh):
+    """`_freshen` as it read when each atom was renamed by `substitute`
+    with every bound variable mapped to the term of its new name."""
+    if g.op == "atom":
+        lhs, _, rhs = g.atom
+        ren = {v: lg.lin(((renaming[v], 1),)) for v in
+               (lhs.variables() | rhs.variables()) & renaming.keys()}
+        return lg.substitute(g, ren) if ren else g
+    if g.op == "exists":
+        ren = dict(renaming)
+        names = []
+        for v in g.bound:
+            ren[v] = f"q{next(fresh)}"
+            names.append(ren[v])
+        return lg.LiaFormula(
+            "exists", (_freshen_by_substitution(g.args[0], ren, fresh),),
+            bound=tuple(names), nonneg=g.nonneg)
+    if g.args:
+        return lg.LiaFormula(g.op, tuple(
+            _freshen_by_substitution(h, renaming, fresh) for h in g.args))
+    return g
+
+
+def _random_binder_formula(rng, depth, bound=()):
+    # bound variables on both sides of an atom, a free variable named like
+    # a fresh one (q1), and binders of one or two names that shadow outer
+    # ones
+    names = ("x", "q1") + bound
+    if depth == 0 or rng.random() < 0.2:
+        side = [lg.lin([(rng.choice(names), rng.randint(-2, 2))
+                        for _ in range(rng.randint(0, 3))], rng.randint(-2, 2))
+                for _ in "lr"]
+        return lg.atom(side[0], rng.choice(("=", "<", "<=")), side[1])
+    kind = rng.choice(("and", "or", "exists", "exists"))
+    if kind == "exists":
+        ks = tuple(rng.sample(("k", "m", "x"), rng.randint(1, 2)))
+        body = _random_binder_formula(rng, depth - 1, bound + ks)
+        return lg.exists(ks, body, nonneg=rng.random() < 0.5)
+    parts = [_random_binder_formula(rng, depth - 1, bound)
+             for _ in range(rng.randint(2, 3))]
+    return lg.conj(*parts) if kind == "and" else lg.disj(*parts)
+
+
+def test_freshen_matches_renaming_by_substitution():
+    rng = random.Random(44)
+    renamed = 0
+    for i in range(300):
+        f = (_random_binder_formula(rng, 4) if i % 2
+             else lg.nnf(_random_formula(rng, 4)))
+        got = lg._freshen(f, {}, itertools.count(1))
+        assert got == _freshen_by_substitution(f, {}, itertools.count(1)), f
+        renamed += got != f
+    assert renamed >= 100

@@ -274,3 +274,23 @@ def test_kleene_reference_diverges_on_growth():
                          IntMonomial(_sls((0,))))}, 1)
     with pytest.raises(RuntimeError):
         kleene_solve(sys, max_steps=30)
+
+
+def test_factor_free_system_takes_no_step():
+    # a system of constants only: its initial valuation is the one step's
+    rng = random.Random(12)
+    for _ in range(40):
+        dim = rng.randint(1, 2)
+        equations = {}
+        for x in ["X", "Y", "Z"][: rng.randint(1, 3)]:
+            equations[x] = tuple(
+                IntMonomial(sl.sls([sl.linset(
+                    [rng.randint(-2, 2) for _ in range(dim)],
+                    [[rng.randint(-1, 1) for _ in range(dim)]
+                     for _ in range(rng.randint(0, 2))])]))
+                for _ in range(rng.randint(0, 3)))
+        sys = _system(equations, dim)
+        trace = []
+        solver = Solver()
+        assert npa_solve(sys, solver, trace) == _npa_every_step(sys, solver)
+        assert trace == []

@@ -1,10 +1,13 @@
+import itertools
 import random
 
 import pytest
 
 from oracles import sls_size
 from unrealizer import ilp
-from unrealizer.semilinear import ZERO, linset, one, prune, singleton, sls
+from unrealizer.semilinear import (
+    ZERO, LinearSet, SemiLinearSet, linset, one, prune, singleton, sls,
+)
 
 
 def brute_force_gamma(a, budget):
@@ -217,3 +220,75 @@ def test_prune_never_asks_a_generator_free_holder():
         a = random_sls(rng, dim=rng.randint(1, 2), max_comps=5)
         assert prune(a, member) == _prune_asking_every_holder(a, solver.member)
     assert asked and all(ls.gens for ls in asked)
+
+
+# `combine`, `extend` and `gamma_bounded` return early on ZERO, ONE and
+# equal operands and build products without `linset`; the general paths
+# they shorten are kept here as their oracles
+def _combine_general(a, b):
+    return sls(a.components + b.components)
+
+
+def _extend_general(a, b):
+    return sls([linset(tuple(x + y for x, y in zip(p.base, q.base)),
+                       p.gens + q.gens)
+                for p, q in itertools.product(a.components, b.components)])
+
+
+def _gamma_general(a, budget):
+    pts = set()
+    for c in a.components:
+        for ls in itertools.product(range(budget + 1), repeat=len(c.gens)):
+            pts.add(tuple(b + sum(l * g[i] for l, g in zip(ls, c.gens))
+                          for i, b in enumerate(c.base)))
+    return frozenset(pts)
+
+
+def _canonical_pool(rng, dim):
+    """ZERO, ONE, points, and sets with one and two generators, each also
+    rebuilt as an equal value that is a different object."""
+    def vec(lo, hi):
+        return [rng.randint(lo, hi) for _ in range(dim)]
+
+    pool = [ZERO, one(dim), singleton(vec(-3, 3)),
+            sls([linset(vec(-3, 3)) for _ in range(3)]),
+            sls([linset(vec(-3, 3), [vec(-2, 2)])]),
+            sls([linset(vec(-3, 3), [vec(-2, 2), vec(-2, 2)])]),
+            sls([linset(vec(-3, 3), [vec(-2, 2)]),
+                 linset(vec(-3, 3), [vec(-2, 2), vec(-2, 2)]),
+                 linset([0] * dim)])]
+    return pool + [sls(list(a.components)) for a in pool]
+
+
+def _same_value(got, want):
+    return (got == want and str(got) == str(want)
+            and type(got) is SemiLinearSet
+            and type(got.components) is tuple
+            and all(type(c) is LinearSet and type(c.gens) is tuple
+                    for c in got.components))
+
+
+def test_fast_paths_return_what_the_general_paths_build():
+    rng = random.Random(2101)
+    for _ in range(40):
+        pool = _canonical_pool(rng, rng.randint(1, 3))
+        for a, b in itertools.product(pool, repeat=2):
+            assert _same_value(a.combine(b), _combine_general(a, b)), (a, b)
+            assert _same_value(a.extend(b), _extend_general(a, b)), (a, b)
+        for a in pool:
+            for budget in range(4):
+                assert a.gamma_bounded(budget) == _gamma_general(a, budget)
+
+
+def test_fast_paths_keep_the_dimension_check():
+    for a, b in [(one(2), one(3)), (one(2), singleton((1, 2, 3))),
+                 (singleton((1, 2)), one(3)),
+                 (one(1), sls([linset((0, 0), [(1, 0)])]))]:
+        for x, y in [(a, b), (b, a)]:
+            with pytest.raises(ValueError):
+                x.extend(y)
+            with pytest.raises(ValueError):
+                x.combine(y)
+    # ZERO has no dimension of its own, so it meets every dimension
+    assert ZERO.extend(one(3)) == ZERO and one(3).extend(ZERO) == ZERO
+    assert ZERO.combine(one(3)) == one(3) and one(3).combine(ZERO) == one(3)

@@ -4,16 +4,24 @@ A Boolean nonterminal's abstract value is the set of guard vectors its
 trees can evaluate to.  Not and And act elementwise on members.  LessThan
 compares two semi-linear integer abstractions: a vector b belongs to the
 result iff some concrete o1, o2 drawn from the two concretizations satisfy
-b = (o1 < o2) coordinatewise.  A bounded concretization scan first finds
-cheap positive witnesses.  The rest is a depth-first search over
-coordinates that fixes one sign per level: every prefix the scan did not
-witness is decided by exact integer feasibility, and a refuted prefix
-cuts off all of its extensions at once.  A prefix's system is an
-`ilp.Closure` (exact bound propagation): one sign longer, it is its
-parent's extended by one row, which is the closure of the whole prefix
-system since propagation is monotone.  The solver answers from it when
-propagation rules the prefix out or pins every multiplier, and sends
-only the prefixes it leaves open to branch and bound.
+b = (o1 < o2) coordinatewise: the union over component pairs.  A pair is
+disjoint when no coordinate is nonzero in two of its columns (c1's
+generators and c2's negated ones).  Each coordinate then moves with at
+most one multiplier and flips sign at most once as it grows, so a
+column's patterns are those at 0 and at each flip, and the pair's are
+their product, exact because the multipliers are independent.  Points
+are disjoint, and so are `ite` components whose generators sit on
+disjoint guard masks.  The other pairs go to a search.  A bounded
+concretization scan first finds cheap positive witnesses.  The rest is
+a depth-first search over coordinates that fixes one sign per level:
+every prefix not yet found is decided by exact integer feasibility, and
+a refuted prefix cuts off all of its extensions at once.  Arithmetic
+patterns count as found, so they prune the search too.  A prefix's
+system is an `ilp.Closure` (exact bound propagation): one sign longer,
+it is its parent's extended by one row, which is the closure of the
+whole prefix system since propagation is monotone.  The solver answers
+from it when propagation rules the prefix out or pins every multiplier,
+and sends only the prefixes it leaves open to branch and bound.
 """
 
 from __future__ import annotations
@@ -53,6 +61,39 @@ def abs_not(bs: BoolVecSet) -> BoolVecSet:
 
 def abs_and(b1: BoolVecSet, b2: BoolVecSet) -> BoolVecSet:
     return frozenset(conj(a, b) for a in b1 for b in b2)
+
+
+def _disjoint_patterns(c1: LinearSet, c2: LinearSet) -> BoolVecSet | None:
+    """The patterns o1 < o2 over o1 in c1, o2 in c2 when the pair is
+    disjoint, else None.  With u = c1.base - c2.base, coordinate i of a
+    column w is u_i + w_i*l < 0 at multiplier l; it flips at
+    ceil(-u_i/w_i) when w_i > 0 > u_i and at floor(u_i/-w_i) + 1 when
+    w_i < 0 <= u_i, and never otherwise."""
+    u = [a - b for a, b in zip(c1.base, c2.base)]
+    cols = c1.gens + tuple([tuple([-x for x in g]) for g in c2.gens])
+    supports = [[i for i, x in enumerate(w) if x] for w in cols]
+    if sum(map(len, supports)) != len(set().union(*supports)):
+        return None
+    patterns = {tuple([x < 0 for x in u])}
+    for w, support in zip(cols, supports):
+        flips = {0}
+        for i in support:
+            if w[i] > 0 > u[i]:
+                flips.add(-(u[i] // w[i]))
+            elif w[i] < 0 <= u[i]:
+                flips.add(u[i] // -w[i] + 1)
+        sides = {tuple([u[i] + w[i] * t < 0 for i in support])
+                 for t in flips}
+        if len(sides) > 1:
+            grown = set()
+            for p in patterns:
+                q = list(p)
+                for side in sides:
+                    for i, b in zip(support, side):
+                        q[i] = b
+                    grown.add(tuple(q))
+            patterns = grown
+    return frozenset(patterns)
 
 
 class _Pair:
@@ -98,14 +139,16 @@ class _Pair:
 
 class LessThanCache:
     """Memoized abs_less_than over one fixed dimension.  Each component
-    pair's rows are built once, and the closure of each (pair, prefix)
-    the search reaches is kept, so a prefix reached again, or extended,
-    is not propagated again."""
+    pair is looked at once: a disjoint pair's patterns are kept, and so
+    are another pair's rows and the closure of each of its prefixes the
+    search reaches, so a prefix reached again, or extended, is not
+    propagated again."""
 
     def __init__(self, solver: ilp.Solver):
         self.solver = solver
         self._memo: dict[tuple, BoolVecSet] = {}
-        self._pairs: dict[tuple[LinearSet, LinearSet], _Pair] = {}
+        self._pairs: dict[tuple[LinearSet, LinearSet],
+                          _Pair | BoolVecSet] = {}
 
     def abs_less_than(self, sl1: SemiLinearSet, sl2: SemiLinearSet) -> BoolVecSet:
         key = (sl1, sl2)
@@ -114,10 +157,13 @@ class LessThanCache:
             hit = self._memo[key] = self._compute(sl1, sl2)
         return hit
 
-    def _pair(self, c1: LinearSet, c2: LinearSet) -> _Pair:
+    def _pair(self, c1: LinearSet, c2: LinearSet) -> _Pair | BoolVecSet:
         pair = self._pairs.get((c1, c2))
         if pair is None:
-            pair = self._pairs[c1, c2] = _Pair(c1, c2)
+            pair = _disjoint_patterns(c1, c2)
+            if pair is None:
+                pair = _Pair(c1, c2)
+            self._pairs[c1, c2] = pair
         return pair
 
     def _compute(self, sl1: SemiLinearSet, sl2: SemiLinearSet) -> BoolVecSet:
@@ -127,6 +173,16 @@ class LessThanCache:
         if sl2.dim != d:
             raise ValueError("dimension mismatch")
         found: set[BoolVec] = set()
+        pairs = []
+        for c1 in sl1.components:
+            for c2 in sl2.components:
+                pair = self._pair(c1, c2)
+                if isinstance(pair, _Pair):
+                    pairs.append(pair)
+                else:
+                    found |= pair
+        if not pairs:
+            return frozenset(found)
         # positive witnesses from bounded concretizations, no feasibility calls
         g1 = sorted(sl1.gamma_bounded(2))
         g2 = sorted(sl2.gamma_bounded(2))
@@ -139,8 +195,7 @@ class LessThanCache:
         # pairs not yet refuted for it, and a child drops pairs only up to
         # the first one it cannot refute.  Every prefix is decided exactly,
         # so a full-length pattern's first kept pair is feasible.
-        stack = [((), [self._pair(c1, c2) for c1 in sl1.components
-                        for c2 in sl2.components])]
+        stack = [((), pairs)]
         while stack:
             prefix, pairs = stack.pop()
             if len(prefix) == d:

@@ -1,16 +1,19 @@
 import itertools
 import sys
 import random
+from pathlib import Path
 
 import pytest
 
 from oracles import abs_less_than, parse_mask, proj_z
-from unrealizer import booldom
+from unrealizer import booldom, clia
 from unrealizer import semilinear as sl
 from unrealizer.booldom import (
     LessThanCache, _Pair, abs_and, abs_not, all_true, bset_str, conj,
     mask_str, neg,
 )
+from unrealizer.frontend import parse_problem
+from unrealizer.grammar import ExampleSet
 from unrealizer.ilp import BudgetExceeded, Solver, constraint, system
 
 
@@ -207,3 +210,126 @@ def test_pair_closure_deeper_than_the_recursion_limit():
     assert pair.closure(crossed).verdict().status == "unsat"
     assert len(pair.closures) == d + 2
     assert Solver().feasible(pattern_system(c1, c2, crossed)).status == "unsat"
+
+
+class CountingSolver(Solver):
+    """A solver that counts its `feasible` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def feasible(self, closure):
+        self.calls += 1
+        return super().feasible(closure)
+
+
+def realized(s1, s2):
+    ref = reference_patterns(s1, s2, Solver())
+    assert None not in ref.values()
+    return frozenset(p for p, r in ref.items() if r)
+
+
+def random_disjoint_pair(rng, d):
+    """Two linear sets in which no coordinate is nonzero in two
+    generators: points, one generator spanning every coordinate, or
+    generators projected onto disjoint random masks as `ite` builds them.
+    Bases put o1_i - o2_i at 0, at a multiple of a generator's entry or
+    anywhere near."""
+    kind = rng.choice(("points", "spanning", "masks", "masks"))
+    if kind == "points":
+        owner = [None] * d
+    elif kind == "spanning":
+        owner = [0] * d
+    else:
+        owner = [rng.choice((None, 0, 1, 2)) for _ in range(d)]
+    cols = [[0] * d for _ in range(3)]
+    for i, j in enumerate(owner):
+        if j is not None:
+            cols[j][i] = rng.choice((-3, -2, -1, 1, 2, 3))
+    u = []
+    for i, j in enumerate(owner):
+        w = cols[j][i] if j is not None else 1
+        u.append(rng.choice((0, w * rng.randrange(-3, 4),
+                             rng.randrange(-7, 8))))
+    b2 = [rng.randrange(-5, 6) for _ in range(d)]
+    gens1, gens2 = [], []
+    for col in cols:
+        rng.choice((gens1, gens2)).append(col)
+    return (sl.linset([x + y for x, y in zip(u, b2)], gens1),
+            sl.linset(b2, gens2))
+
+
+def test_disjoint_pairs_match_every_pattern_decided_by_the_ilp():
+    rng = random.Random(41)
+    for _ in range(300):
+        d = rng.randrange(1, 6)
+        c1, c2 = random_disjoint_pair(rng, d)
+        want = realized(sl.sls([c1]), sl.sls([c2]))
+        assert booldom._disjoint_patterns(c1, c2) == want, (c1, c2)
+
+
+def test_disjoint_pair_flips_at_exact_thresholds():
+    # o1 - o2 = (-4 + 2l, -3 + 2l, 2 - 2m): the first coordinate flips at
+    # l = 2, where 2 divides 4, and so does the second; the third flips at
+    # m = 2, since 2 - 2 is not < 0; and u_i = 0 with w_i < 0 flips at 1
+    c1, c2 = sl.linset((-4, -3, 0), [(2, 2, 0)]), sl.linset((0, 0, -2))
+    c3 = sl.linset((0, 0, -2), [(0, 0, 2)])
+    c4, c5 = sl.linset((0,)), sl.linset((0,), [(1,)])
+    for a, b in ((c1, c2), (c1, c3), (c4, c5)):
+        assert booldom._disjoint_patterns(a, b) == \
+            realized(sl.sls([a]), sl.sls([b])), (a, b)
+
+
+def test_g2_guards_and_points_call_no_solver(monkeypatch):
+    operands = []
+    compute = LessThanCache._compute
+
+    def spy(self, sl1, sl2):
+        operands.append((sl1, sl2))
+        return compute(self, sl1, sl2)
+
+    monkeypatch.setattr(LessThanCache, "_compute", spy)
+    text = (Path(__file__).parent / "problems" / "g2.sy").read_text()
+    problem = parse_problem(text)
+    e = ExampleSet(problem.variables, ((3,), (-4,), (5,), (0,), (-1,)))
+    clia.solve(problem.grammar, e)
+    assert any(len(sl2.components) > 1 for _, sl2 in operands)
+    points = (sl.sls([sl.linset((3, -1, 0)), sl.linset((-2, 4, 0))]),
+              sl.singleton((0, 0, 0)))
+    for sl1, sl2 in operands + [points]:
+        solver = CountingSolver()
+        got = LessThanCache(solver).abs_less_than(sl1, sl2)
+        assert solver.calls == 0
+        assert got == realized(sl1, sl2), (sl1, sl2)
+
+
+@pytest.mark.parametrize("c1, c2", [
+    # a generator of each side is nonzero on coordinate 0
+    (sl.linset((0, 0), [(1, 1)]), sl.linset((1, 1), [(1, 0)])),
+    # two generators of one side are nonzero on both coordinates
+    (sl.linset((0, 0), [(1, 1), (2, -1)]), sl.linset((1, 1))),
+])
+def test_overlapping_pair_goes_to_the_prefix_search(c1, c2):
+    assert booldom._disjoint_patterns(c1, c2) is None
+    solver = CountingSolver()
+    cache = LessThanCache(solver)
+    got = cache.abs_less_than(sl.sls([c1]), sl.sls([c2]))
+    assert isinstance(cache._pairs[c1, c2], _Pair) and solver.calls > 0
+    assert got == realized(sl.sls([c1]), sl.sls([c2]))
+
+
+def test_mixed_pairs_return_the_union():
+    # l(1,1,0) against (1,1,0)+m(1,0,0) overlaps, and the search refutes
+    # (f,t,f); the point (5,-5,-1) against it is disjoint
+    s1 = sl.sls([sl.linset((0, 0, 0), [(1, 1, 0)]), sl.linset((5, -5, -1))])
+    s2 = sl.sls([sl.linset((1, 1, 0), [(1, 0, 0)])])
+    solver = CountingSolver()
+    cache = LessThanCache(solver)
+    got = cache.abs_less_than(s1, s2)
+    kinds = {type(p) for p in cache._pairs.values()}
+    assert kinds == {_Pair, frozenset} and solver.calls > 0
+    parts = [abs_less_than(sl.sls([c]), s2, Solver()) for c in s1.components]
+    assert parts == [bools((T, T, F), (T, F, F), (F, F, F)),
+                     bools((T, T, T), (F, T, T))]
+    assert got == parts[0] | parts[1] == realized(s1, s2)

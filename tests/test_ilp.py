@@ -162,6 +162,25 @@ def test_ray_dive_system_is_sat_within_a_small_budget():
     assert got.status == "sat"
 
 
+@pytest.mark.xfail(raises=ilp.BudgetExceeded, strict=True,
+                   reason="branch and bound follows an unbounded LP ray")
+def test_lattice_empty_system_with_an_unbounded_relaxation_is_unsat():
+    # with the last row b1 >= a0 + 2a1, the first two give
+    # a0 + (5a1 + 1)/3 <= b0 <= a0 + (1 - 3a1)/2, so a1 = 0 and
+    # a0 + 1/3 <= b0 <= a0 + 1/2: no integer point, yet the relaxation
+    # is feasible along an unbounded ray.  Found as a dense LessThan pair
+    # at d = 5, which the prefix search still decides by the ILP.
+    got = solve({"a0": True, "a1": True, "b0": True, "b1": True},
+                [ilp.constraint({"a1": -1, "b0": -3, "b1": 3}, "<=", -1),
+                 ilp.constraint({"a0": -3, "a1": 1, "b0": 2, "b1": 1},
+                                "<=", 1),
+                 ilp.constraint({"a0": -3, "a1": 2, "b0": -3, "b1": -2},
+                                "<", -3),
+                 ilp.constraint({"a0": 1, "a1": 2, "b1": -1}, "<", 1)],
+                budget=1000)
+    assert got.status == "unsat"
+
+
 def test_budget_exhaustion_raises():
     # the root relaxation's vertex x = 7/2 is fractional, so the search
     # needs a second node, beyond a budget of one

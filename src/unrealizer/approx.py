@@ -58,6 +58,8 @@ def predabs_solve(g, e):
     outputs."""
     if e.dimension != 1:
         raise GrammarError("parity predicates need exactly one example")
+    if g.sorts[g.start] != INT:
+        raise GrammarError("parity predicates abstract integer outputs")
     int_nts = [n for n, s in g.nonterminals if s == INT]
     nu = {n: frozenset() for n in int_nts}
     # every pass but the last adds a predicate to some nonterminal

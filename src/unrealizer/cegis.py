@@ -30,7 +30,6 @@ class Budgets:
     seconds: float = 60.0
     max_size: int = 20
     max_rounds: int = 20
-    max_terms: int = 200_000
 
 
 @dataclass
@@ -156,7 +155,7 @@ def run_cegis(problem, seed=0, budgets=None, mode="sl", solver=None):
             e_synth = ExampleSet(variables, synth_on)
             outcome = synth.enumerate_solve(
                 g, specialize(spec, e_synth), e_synth,
-                max_size=budgets.max_size, max_terms=budgets.max_terms)
+                max_size=budgets.max_size)
         rec["synth"] = outcome.status
         if outcome.candidate is None:
             row = _draw(rng, variables, set(rows))
@@ -166,7 +165,7 @@ def run_cegis(problem, seed=0, budgets=None, mode="sl", solver=None):
             e_rand.append(row)
             continue
 
-        term = outcome.candidate.term
+        term = outcome.candidate
         rec["candidate"] = term.to_sexpr()
         status, cex = synth.verify(term, spec, variables, solver)
         rec["verify"] = status

@@ -166,9 +166,12 @@ def _emit(verdict, args):
         for rec in verdict.trace:
             if args.verbose > 1:
                 print(json.dumps(rec, sort_keys=True), file=sys.stderr)
-            else:
-                print(f"round {rec.get('round')}: check={rec.get('check')} "
-                      f"synth={rec.get('synth')} cex={rec.get('cex')}",
+            elif "round" in rec:
+                print(f"round {rec['round']}: check={rec['check']} "
+                      f"synth={rec['synth']} cex={rec['cex']}",
+                      file=sys.stderr)
+            else:  # the one record of check-examples
+                print(f"check={rec['check']} query={rec['query']}",
                       file=sys.stderr)
     return EXIT[verdict.verdict]
 

@@ -48,10 +48,6 @@ class PointSpec:
 
     formulas: tuple[logic.LiaFormula, ...]
 
-    @property
-    def dimension(self):
-        return len(self.formulas)
-
     def conjunction(self):
         return logic.conj(*self.formulas)
 

@@ -223,10 +223,7 @@ def substitute(sys, solved):
                 coeff, factors = m.coeff, []
                 for f in m.factors:
                     if f.var in solved:
-                        value = solved[f.var]
-                        if f.mask is not None:
-                            value = value.project(f.mask)
-                        coeff = coeff.extend(value)
+                        coeff = coeff.extend(solved[f.var])
                     else:
                         factors.append(f)
                 out.append(IntMonomial(coeff, tuple(factors)))

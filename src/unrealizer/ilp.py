@@ -374,29 +374,28 @@ class Closure:
 
     def add(self, constraints=(), variables=()) -> Closure:
         """This closure with `variables` ((name, nonneg) pairs) declared
-        and `constraints` taken in.  Declaring a name again as nonneg
-        makes it nonneg; declaring it free keeps what it was.  A row on an
-        undeclared variable raises ValueError.  An unsat closure still
-        takes in what it is given, so that it holds the whole system."""
+        and `constraints` taken in.  The first declaration of a name
+        wins: declaring it again free keeps what it was, and declaring a
+        free name nonneg raises ValueError, as does a row on an
+        undeclared variable.  An unsat closure still takes in what it is
+        given, so that it holds the whole system."""
         new = Closure.__new__(Closure)
         new.unsat, new.pending = self.unsat, self.pending
         new.checked = self.checked
         declared = self.variables
         new.lower, new.upper, new.fixed = self.lower, self.upper, self.fixed
-        now_nonneg = []
         for v, nonneg in variables:
-            if v in declared and (declared[v] or not nonneg):
+            if v in declared:
+                if nonneg and not declared[v]:
+                    raise ValueError(
+                        f"free variable {v!r} declared again as nonneg")
                 continue
             if declared is self.variables:
                 declared = dict(declared)
                 new._own(self)
-            if v not in declared:
-                declared[v] = nonneg
-                new.lower[v] = 0 if nonneg else None
-                new.upper[v] = None
-            else:
-                declared[v] = True
-                now_nonneg.append(v)
+            declared[v] = nonneg
+            new.lower[v] = 0 if nonneg else None
+            new.upper[v] = None
         new.variables = declared
         seen = len(new.fixed)
         constraints = tuple(constraints)
@@ -414,9 +413,6 @@ class Closure:
         new.presolved = self.presolved + tuple(scan)
         if new.unsat:
             return new
-        for v in now_nonneg:
-            if not new._bound(v, 0, None, self):
-                return new
         left = list(self.pending)
         fixed = new.fixed
         while True:

@@ -242,14 +242,6 @@ def nnf(f, negate=False):
     raise ValueError(f.op)
 
 
-class Branch(NamedTuple):
-    """One DNF branch: a conjunction of normalized atoms."""
-
-    atoms: tuple
-    nonneg: frozenset = frozenset()
-    free_bound: frozenset = frozenset()
-
-
 def _freshen(g, renaming, fresh):
     """Rename every bound variable to q1, q2, ... in pre-order."""
     # a module-level recursion, not a nested closure: a closure that calls
@@ -284,32 +276,29 @@ def _rename(t, renaming):
     return LinTerm(tuple(sorted((v, c) for v, c in acc.items() if c)), t.const)
 
 
-def _branches(f, solver=None, rows=None):
-    """Yield the DNF branches of f in order, splitting disjunctions lazily,
-    each with its closure (None without a solver).
+def _branches(f, solver, rows):
+    """Yield the closures of the DNF branches of f in order, splitting
+    disjunctions lazily.
 
     Each pending entry holds a cons list of subformulas still to conjoin,
-    the branch built so far, and with a solver the `ilp.Closure` of the
-    atoms taken in so far.  The partial conjunction is checked at a
-    disjunction whenever it gained atoms since its last check: its
+    the `ilp.Closure` of the atoms taken in so far, and the atoms and
+    bound variables met since then.  The partial conjunction is checked
+    at a disjunction whenever it gained atoms since its last check: its
     closure is extended by the new atoms' rows (the closure of a parent
     plus rows is the closure of the whole conjunction, so nothing is
     propagated twice), and one that `Solver.feasible` decides unsat, from
     the closure or by exact branch and bound as for a branch, is dropped
-    with every branch extending it.  A yielded branch's closure holds all
-    of its atoms and variables, so it is the branch's system: a row per
+    with every branch extending it.  A yielded closure holds all of its
+    branch's atoms and variables, so it is the branch's system: a row per
     atom, over the variables of every atom (those whose coefficients
-    cancel too) and the bound ones, nonneg where the branch says so.
-    `rows` maps an atom to its row and variables, built once per atom
-    (`_atom_row`).
+    cancel too) and the bound ones, nonneg where their quantifier says
+    so.  `rows` maps an atom to its row and variables, built once per
+    atom (`_atom_row`).
     """
-    if rows is None:
-        rows = {}
-    closure = ilp.Closure() if solver is not None else None
     stack = [((_freshen(nnf(f), {}, itertools.count(1)), None),
-              (), frozenset(), frozenset(), closure, 0)]
+              ilp.Closure(), (), ())]
     while stack:
-        todo, atoms, nonneg, free_bound, closure, taken = stack.pop()
+        todo, closure, atoms, bound = stack.pop()
         while todo is not None:
             g, todo = todo
             if g.op == "atom":
@@ -318,31 +307,23 @@ def _branches(f, solver=None, rows=None):
                 for h in reversed(g.args):
                     todo = (h, todo)
             elif g.op == "exists":
-                if g.nonneg:
-                    nonneg = nonneg.union(g.bound)
-                else:
-                    free_bound = free_bound.union(g.bound)
+                bound += tuple([(v, g.nonneg) for v in g.bound])
                 todo = (g.args[0], todo)
             elif g.op == "or":
-                if closure is not None and len(atoms) > taken:
-                    closure = _extend(closure, atoms[taken:], nonneg,
-                                      free_bound, rows)
-                    taken = len(atoms)
+                if atoms:
+                    closure = _extend(closure, atoms, bound, rows)
+                    atoms = bound = ()
                     if solver.feasible(closure).status == "unsat":
                         break
                 for h in reversed(g.args):
-                    stack.append(((h, todo), atoms, nonneg, free_bound,
-                                  closure, taken))
+                    stack.append(((h, todo), closure, atoms, bound))
                 break
             elif g.op == "false":
                 break
             elif g.op != "true":
                 raise ValueError(g.op)
         else:
-            if closure is not None:
-                closure = _extend(closure, atoms[taken:], nonneg, free_bound,
-                                  rows)
-            yield Branch(atoms, nonneg, free_bound), closure
+            yield _extend(closure, atoms, bound, rows)
 
 
 def _atom_row(a, rows):
@@ -359,12 +340,12 @@ def _atom_row(a, rows):
     return row
 
 
-def _extend(closure, atoms, nonneg, free_bound, rows):
-    """`closure` with a branch's bound variables (nonneg where the branch
-    says so) and the variables of `atoms` declared, and their rows taken
-    in.  Atom variables not bound nonneg are free."""
-    variables = [(v, True) for v in nonneg]
-    variables += [(v, False) for v in free_bound]
+def _extend(closure, atoms, bound, rows):
+    """`closure` with the `bound` variables ((name, nonneg) pairs) and the
+    variables of `atoms` declared, and their rows taken in.  A bound
+    variable is declared before any atom names it; the other atom
+    variables are free."""
+    variables = list(bound)
     cons = []
     for a in atoms:
         c, names = _atom_row(a, rows)
@@ -382,8 +363,7 @@ def decide(f, solver):
     each branch's closure where propagation settles it and by branch and
     bound on the full system otherwise.
     """
-    rows = {}
-    for b, closure in _branches(f, solver, rows):
+    for closure in _branches(f, solver, {}):
         res = solver.feasible(closure)
         if res.status == "sat":
             return "sat", dict(res.witness)

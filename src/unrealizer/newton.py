@@ -9,29 +9,14 @@ fixpoint is reached after at most one iteration per variable, and the
 iteration stops at the first step that leaves the valuation as it was.
 """
 
-from dataclasses import dataclass
-
 from . import semilinear as sl
 from .gfa import IntMonomial
-
-
-@dataclass
-class LinearSystem:
-    """Y_i = join_j A[i,j] (x) Y_j (+) c[i]."""
-
-    variables: tuple
-    a: dict        # (i, j) -> SemiLinearSet, zero entries absent
-    c: dict        # i -> SemiLinearSet
-    dimension: int
 
 
 def monomial_value(m, nu):
     out = m.coeff
     for f in m.factors:
-        value = nu[f.var]
-        if f.mask is not None:
-            value = value.project(f.mask)
-        out = out.extend(value)
+        out = out.extend(nu[f.var])
     return out
 
 
@@ -51,11 +36,13 @@ def derivative(m, wrt, nu):
     return out
 
 
-def solve_linear(ls):
-    """Least solution by variable elimination with X = a* (x) b."""
-    a = dict(ls.a)
-    c = dict(ls.c)
-    remaining = list(ls.variables)
+def solve_linear(variables, a, c, dimension):
+    """Least solution of Y_i = join_j a[i,j] (x) Y_j (+) c[i] (`a` maps
+    (i, j) to a semi-linear set, zero entries absent) by variable
+    elimination with X = a* (x) b."""
+    a = dict(a)
+    c = dict(c)
+    remaining = list(variables)
     solved_rows = []
     while remaining:
         occurrences = {v: 0 for v in remaining}
@@ -66,7 +53,7 @@ def solve_linear(ls):
         x = min(remaining, key=lambda v: (occurrences[v], v))
         remaining.remove(x)
         self_loop = a.pop((x, x), sl.ZERO)
-        star = self_loop.star(ls.dimension)
+        star = self_loop.star(dimension)
         row = {}
         for j in remaining:
             entry = a.pop((x, j), sl.ZERO)
@@ -131,7 +118,7 @@ def npa_solve(sys, solver=None, trace=None):
                     if not d.is_zero:
                         a[(x, y)] = a.get((x, y), sl.ZERO).combine(d)
             c[x] = total
-        delta = solve_linear(LinearSystem(variables, a, c, sys.dimension))
+        delta = solve_linear(variables, a, c, sys.dimension)
         new = {x: tidy(nu[x].combine(delta[x])) for x in variables}
         if trace is not None:
             trace.append({x: str(new[x]) for x in variables})

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 
 from . import logic as lg
+from .frontend import OUT
 from .grammar import (
     AND, BOOL, DOUBLE, INC, ITE, LESSTHAN, MINUS, NOT, NUM, NEGVAR, PLUS, VAR,
     ExampleSet, Term, apply_symbol, eval_term,
@@ -20,15 +21,9 @@ from .ilp import BudgetExceeded, Solver
 
 
 @dataclass(frozen=True)
-class Candidate:
-    term: Term
-    signature: tuple   # output vector on the examples used to find it
-
-
-@dataclass(frozen=True)
 class SynthOutcome:
     status: str                  # "found" | "exhausted" | "budget"
-    candidate: Candidate | None = None
+    candidate: Term | None = None
     terms_built: int = 0
 
 
@@ -73,7 +68,7 @@ def enumerate_solve(g, ps, e, max_size=20, max_terms=200_000):
         fresh.append((nt, sig, term, size))
         last_new = size
         if nt == g.start and ps.evaluate(sig):
-            return Candidate(term, sig)
+            return term
         return None
 
     for size in range(1, max_size + 1):
@@ -193,7 +188,7 @@ def _falsifies(term, spec, variables, row):
     e = ExampleSet(variables, (row,))
     out = eval_term(term, e)[0]
     env = dict(zip(variables, row))
-    env["%out"] = int(out)
+    env[OUT] = int(out)
     return not lg.evaluate(spec, env)
 
 
@@ -237,7 +232,7 @@ def verify(term, spec, variables, solver=None, path_cap=4096,
         else:
             paths = _int_paths(term, path_cap)
         for cond, meaning in paths:
-            spec_here = lg.substitute(spec, {"%out": meaning})
+            spec_here = lg.substitute(spec, {OUT: meaning})
             status, witness = lg.decide(lg.conj(cond, lg.neg(spec_here)),
                                         solver)
             if status == "sat":

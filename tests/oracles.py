@@ -3,19 +3,24 @@
 Each one is the plain, eager form of something the package computes
 another way: bounded tree and value enumeration for the equation
 solvers, Kleene iteration for Newton's method, the guard-pattern sum for
-`ite`, the one-shot `LessThan`, and the DNF branches with their ILP
-systems for the lazy walk in `logic.decide`.  The operator symbols the
-tests write productions with are here too.  The package itself never
-calls them.  pytest does not collect this module (its name does not
+`ite`, the one-shot `LessThan`, the DNF branches with their ILP
+systems for the lazy walk in `logic.decide`, and the bottom-up facts of
+an exported Horn script for a check without a Horn solver.  The
+operator symbols the tests write productions with are here too, and a
+solver stand-in that refutes nothing.  The package itself never calls
+them.  pytest does not collect this module (its name does not
 start with ``test_``); the tests import it by name.
 """
 
 import itertools
+import math
+from typing import NamedTuple
 
 from unrealizer import ilp
 from unrealizer import logic as lg
 from unrealizer import semilinear as sl
 from unrealizer.booldom import LessThanCache, neg
+from unrealizer.frontend import parse_sexprs
 from unrealizer.grammar import (
     AND, DOUBLE, INC, ITE, LESSTHAN, MINUS, NOT, ExampleSet, GrammarError,
     Symbol, Term, apply_symbol, eval_term,
@@ -214,9 +219,60 @@ def free_vars(f):
     return out
 
 
+class Branch(NamedTuple):
+    """One DNF branch: a conjunction of normalized atoms, and its bound
+    variables by sign."""
+
+    atoms: tuple
+    nonneg: frozenset = frozenset()
+    free_bound: frozenset = frozenset()
+
+
+def reference_dnf(g, renaming, fresh):
+    """The eager DNF expansion of a formula in negation normal form that
+    the lazy walk in `logic._branches` replaced: whole branch lists per
+    subformula, cross products at every conjunction."""
+    if g.op == "true":
+        return [Branch(())]
+    if g.op == "false":
+        return []
+    if g.op == "atom":
+        lhs, _, rhs = g.atom
+        ren = {v: lg.lin(((renaming[v], 1),)) for v in
+               (lhs.variables() | rhs.variables()) & renaming.keys()}
+        return [Branch(((lg.substitute(g, ren) if ren else g).atom,))]
+    if g.op == "or":
+        return [b for h in g.args for b in reference_dnf(h, renaming, fresh)]
+    if g.op == "and":
+        branches = [Branch(())]
+        for h in g.args:
+            sub = reference_dnf(h, renaming, fresh)
+            branches = [Branch(b.atoms + s.atoms, b.nonneg | s.nonneg,
+                               b.free_bound | s.free_bound)
+                        for b in branches for s in sub]
+        return branches
+    ren = dict(renaming)
+    names = set()
+    for v in g.bound:
+        ren[v] = f"q{next(fresh)}"
+        names.add(ren[v])
+    return [Branch(b.atoms, b.nonneg | names, b.free_bound) if g.nonneg
+            else Branch(b.atoms, b.nonneg, b.free_bound | names)
+            for b in reference_dnf(g.args[0], ren, fresh)]
+
+
 def dnf_branches(f):
     """DNF of a formula; bound variables are freshened to q1, q2, ..."""
-    return [b for b, _ in lg._branches(f)]
+    return reference_dnf(lg.nnf(f), {}, itertools.count(1))
+
+
+class RefutesNothing:
+    """A solver stand-in whose `feasible` refutes no system, so that
+    `logic._branches` prunes no partial conjunction and yields the
+    closure of every DNF branch."""
+
+    def feasible(self, closure):
+        return ilp.Feasibility("sat")
 
 
 def branch_system(b):
@@ -231,3 +287,80 @@ def branch_system(b):
         cons.append(ilp.constraint(dict(diff.coeffs), rel, -diff.const))
         names |= lhs.variables() | rhs.variables()
     return ilp.system({v: v in b.nonneg for v in sorted(names)}, cons)
+
+
+# --- Horn clauses -------------------------------------------------------------
+
+def _horn_value(node, env):
+    """Value of a ground head or guard term of an exported Horn script."""
+    if node.kind == "int":
+        return node.value
+    if node.kind == "sym":
+        return node.value == "true" if node.value in ("true", "false") \
+            else env[node.value]
+    op = node.value[0].value
+    vals = [_horn_value(a, env) for a in node.value[1:]]
+    if op == "-" and len(vals) == 1:
+        return -vals[0]
+    return {"+": sum, "*": math.prod, "and": all,
+            "ite": lambda v: v[1] if v[0] else v[2],
+            "not": lambda v: not v[0],
+            "<": lambda v: v[0] < v[1]}[op](vals)
+
+
+def horn_facts(script, rounds):
+    """predicate -> set of argument tuples derived from the clauses of an
+    exported Horn script in `rounds` bottom-up rounds, the query left out.
+
+    A round applies every clause that is not an alias clause to the facts
+    of the rounds before it (a ground fact holds in every round), then
+    closes the facts under the alias clauses (X v => Y v), which add no
+    node; a `<` guard binds its Boolean through its defining equality.
+    This is how `reachable_values` counts tree height."""
+    ground, rules, aliases = [], [], []
+    for node in parse_sexprs(script.decode()):
+        if node.value[0].value != "assert":
+            continue
+        body = node.value[1]
+        if body.value[0].value != "forall":
+            ground.append((body.value[0].value,
+                           tuple(_horn_value(a, {}) for a in body.value[1:])))
+            continue
+        _, guard, head = body.value[2].value
+        if head.kind == "sym":  # the query: (=> ... false)
+            continue
+        atoms = guard.value[1:] if guard.value[0].value == "and" \
+            else (guard,)
+        preds = [(a.value[0].value, [v.value for v in a.value[1:]])
+                 for a in atoms if a.value[0].value != "="]
+        eqs = [(a.value[1].value, a.value[2])
+               for a in atoms if a.value[0].value == "="]
+        out = (head.value[0].value, head.value[1:])
+        if not eqs and len(preds) == 1 and \
+                [v.value for v in out[1]] == preds[0][1]:
+            aliases.append((preds[0][0], out[0]))
+        else:
+            rules.append((preds, eqs, out))
+    facts = {}
+    for _ in range(rounds):
+        new = list(ground)
+        for preds, eqs, (name, args) in rules:
+            pools = [facts.get(p, ()) for p, _ in preds]
+            for combo in itertools.product(*pools):
+                env = {}
+                for (_, vs), vals in zip(preds, combo):
+                    env.update(zip(vs, vals))
+                for b, rhs in eqs:
+                    env[b] = _horn_value(rhs, env)
+                new.append((name, tuple(_horn_value(a, env) for a in args)))
+        for name, vals in new:
+            facts.setdefault(name, set()).add(vals)
+        moved = True
+        while moved:
+            moved = False
+            for src, dst in aliases:
+                extra = facts.get(src, set()) - facts.get(dst, set())
+                if extra:
+                    facts.setdefault(dst, set()).update(extra)
+                    moved = True
+    return facts

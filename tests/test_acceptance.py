@@ -26,7 +26,7 @@ from unrealizer.gfa import (
 )
 from unrealizer.ilp import Solver
 from unrealizer.newton import (
-    LinearSystem, derivative, monomial_value, npa_solve, solve_linear,
+    derivative, monomial_value, npa_solve, solve_linear,
 )
 from unrealizer.approx import horn_export
 from unrealizer.rewrite import rem_if
@@ -254,8 +254,7 @@ def _newton_delta(sys, nu):
                 if not d.is_zero:
                     coeffs[(x, y)] = coeffs.get((x, y), sl.ZERO).combine(d)
         consts[x] = total
-    return solve_linear(LinearSystem(variables, coeffs, consts,
-                                     sys.dimension))
+    return solve_linear(variables, coeffs, consts, sys.dimension)
 
 
 def test_08_iteration_bounds_and_fixpoint_stability():

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import INC_SYM, LESSTHAN_SYM, reachable_values
+from oracles import INC_SYM, LESSTHAN_SYM, horn_facts, reachable_values
 from unrealizer import grammar as gr
 from unrealizer import logic as lg
 from unrealizer import approx
@@ -143,6 +143,12 @@ def test_predabs_requires_single_example():
                       gr.ExampleSet(("x",), ((1,), (2,))))
 
 
+def test_predabs_requires_an_integer_start():
+    g = _problem("lt_bool.sy").grammar
+    with pytest.raises(gr.GrammarError, match="integer outputs"):
+        predabs_solve(g, gr.ExampleSet(("x", "y"), ((1, 2),)))
+
+
 def _horn(name, rows):
     p = _problem(name)
     e = gr.ExampleSet(p.variables, tuple(tuple(r) for r in rows))
@@ -210,6 +216,23 @@ def test_horn_clause_count_scales_with_conditionals():
     from unrealizer.rewrite import to_plus_form
     want = len(to_plus_form(p.grammar).productions) + 1  # + query
     assert len(clauses) == want
+
+
+@pytest.mark.parametrize("name, rows", [
+    ("g1.sy", [(1,), (2,)]),
+    ("g2.sy", [(1,), (-3,)]),
+    ("max2.sy", [(1, 2), (3, 0)]),
+])
+def test_horn_export_derives_the_reachable_start_values(name, rows):
+    # the clauses' ground facts after k bottom-up rounds are the output
+    # vectors of the trees of height <= k, so the export says what the
+    # grammar says without a Horn solver
+    p = _problem(name)
+    e = gr.ExampleSet(p.variables, tuple(rows))
+    script = horn_export(p.grammar, e, specialize(p.spec, e))
+    for k in range(1, 5):
+        want = set(reachable_values(p.grammar, p.grammar.start, k, e))
+        assert horn_facts(script, k).get(p.grammar.start, set()) == want, k
 
 
 HORN_SOLVER = shutil.which("z3")

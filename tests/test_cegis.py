@@ -225,6 +225,5 @@ def test_cegis_enumerates_once_per_persistent_example_list(monkeypatch):
     for rec, rows in zip(v.trace, lists):
         e = gr.ExampleSet(p.variables, rows)
         fresh = enumerate_solve(p.grammar, specialize(p.spec, e), e,
-                                max_size=budgets.max_size,
-                                max_terms=budgets.max_terms)
+                                max_size=budgets.max_size)
         assert rec["synth"] == fresh.status

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 from unrealizer import cli
+from unrealizer.frontend import parse_problem
 
 ROOT = Path(__file__).parent.parent
 PROBLEMS = Path(__file__).parent / "problems"
@@ -114,6 +115,17 @@ def test_verbose_trace_goes_to_stderr(capsys):
     _, _, err2 = _run(capsys, "check", str(PROBLEMS / "g1.sy"),
                       "--seed", "0", "-vv")
     assert '"check":' in err2  # full JSON records
+
+
+def test_verbose_check_examples_prints_the_fields_its_record_has(capsys):
+    argv = ("check-examples", str(PROBLEMS / "g1.sy"), "--examples", "x=1")
+    code, out, err = _run(capsys, *argv)
+    _, out1, err1 = _run(capsys, *argv, "-v")
+    _, out2, err2 = _run(capsys, *argv, "-vv")
+    assert code == 0 and err == ""
+    assert err1 == "check=Unrealizable query=unsat\n"
+    assert out1 == out2 == out
+    assert json.loads(err2)["check"] == "Unrealizable"
 
 
 def test_seed_env_fallback(capsys, monkeypatch):
@@ -439,3 +451,38 @@ def test_closed_stdout_keeps_the_exit_code(argv, code):
     assert out.returncode == code
     assert "Traceback" not in out.stderr
     assert out.stderr == ""
+
+
+def _contract_cases():
+    """Every bundled problem in both modes, under `check` for two rounds
+    and under `check-examples` on one row and on two."""
+    cases = []
+    for path in sorted(PROBLEMS.glob("*.sy")):
+        names = parse_problem(path.read_text()).variables
+        rows = [",".join(f"{v}={k + i}" for i, v in enumerate(names))
+                for k in (1, -2)]
+        runs = {"check": ["check", "--seed", "0", "--max-rounds", "2"],
+                "one-row": ["check-examples", "--examples", rows[0]],
+                "two-rows": ["check-examples", "--examples", ";".join(rows)]}
+        for mode in ("sl", "predabs"):
+            for label, argv in runs.items():
+                cases.append(pytest.param(path.name, mode, argv,
+                                          id=f"{path.stem}-{mode}-{label}"))
+    return cases
+
+
+@pytest.mark.parametrize("problem, mode, argv", _contract_cases())
+def test_every_bundled_problem_ends_in_a_documented_exit(problem, mode,
+                                                         argv):
+    out = _run_child(argv[0], str(PROBLEMS / problem), *argv[1:],
+                     "--mode", mode, "--json")
+    assert "Traceback" not in out.stderr
+    assert out.returncode in (0, 10, 20, 2)
+    if out.returncode == 2:
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: ")
+        assert len(out.stderr.splitlines()) == 1
+    else:
+        payload = json.loads(out.stdout)
+        jsonschema.validate(payload, SCHEMA)
+        assert out.returncode == cli.EXIT[payload["verdict"]]

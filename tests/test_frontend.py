@@ -136,7 +136,7 @@ def test_specialize_builds_per_example_formulas():
     p = fe.parse_problem(MINIMAL)
     e = gr.ExampleSet(("x",), ((1,), (5,)))
     ps = fe.specialize(p.spec, e)
-    assert ps.dimension == 2
+    assert len(ps.formulas) == 2
     assert free_vars(ps.formulas[0]) == {"o1"}
     assert free_vars(ps.formulas[1]) == {"o2"}
     # f(1)=2 and f(5)=10 satisfy the spec; anything else fails
@@ -155,7 +155,7 @@ def test_specialize_zero_arity():
     p = fe.parse_problem(text)
     e = gr.ExampleSet((), ((),))
     ps = fe.specialize(p.spec, e)
-    assert ps.dimension == 1
+    assert len(ps.formulas) == 1
     assert ps.evaluate((3,))
     assert not ps.evaluate((4,))
 

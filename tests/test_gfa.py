@@ -189,14 +189,6 @@ def test_substitute_folds_solved_values():
     assert "T" not in out2.sorts
 
 
-def test_substitute_projects_masked_references():
-    sys = gfa.PolynomialSystem(
-        {"X": (IntMonomial(sl.one(2), (Factor("Y", (True, False)),)),)},
-        2, {"X": gr.INT, "Y": gr.INT})
-    out = gfa.substitute(sys, {"Y": sl.singleton((4, 9))})
-    assert out.equations["X"][0].coeff == sl.singleton((4, 0))
-
-
 def test_substitute_reaches_guards_and_bool_args():
     sys = gfa.PolynomialSystem(
         {"S": (IteMonomial("B", "S", sl.one(2)),),

@@ -638,12 +638,20 @@ def test_closure_declares_variables_as_they_appear():
     with pytest.raises(ValueError):
         cl.add([ilp.constraint({"y": 1}, "<=", 2)])
     # y <= 0 leaves y open while it is free; declared nonneg, y is 0
-    cl = cl.add([ilp.constraint({"y": 1}, "<=", 0),
-                 ilp.constraint({"x": 1}, "=", 4)], [("y", False)])
-    assert cl.verdict() is None
-    both = cl.add((), [("y", True)])
-    assert both.verdict() == ilp.Feasibility("sat", {"x": 4, "y": 0}, 0)
-    assert cl.add((), [("y", False)]).verdict() is None
+    rows = [ilp.constraint({"y": 1}, "<=", 0),
+            ilp.constraint({"x": 1}, "=", 4)]
+    free = cl.add(rows, [("y", False)])
+    assert free.verdict() is None
+    assert free.add((), [("y", False)]).verdict() is None
+    assert cl.add(rows, [("y", True)]).verdict() == \
+        ilp.Feasibility("sat", {"x": 4, "y": 0}, 0)
+    # the first declaration wins: a free variable cannot become nonneg,
+    # and the closure it was declared again on is left as it was
+    with pytest.raises(ValueError):
+        free.add((), [("y", True)])
+    assert free.variables == {"x": False, "y": False}
+    with pytest.raises(ValueError):
+        ilp.Closure().add((), [("w", False), ("w", True)])
     # a nonneg variable declared again as free stays nonneg
     neg = ilp.Closure().add([], [("z", True)]).add(
         [ilp.constraint({"z": 1}, "<=", -1)], [("z", False)])

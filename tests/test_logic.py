@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from oracles import branch_system, dnf_branches, free_vars
+from oracles import (
+    Branch, RefutesNothing, branch_system, dnf_branches, free_vars,
+)
 from unrealizer import logic as lg
 from unrealizer import semilinear as sl
 from unrealizer.frontend import PointSpec
@@ -172,16 +174,20 @@ def test_nnf_equivalent_on_points():
             assert lg.evaluate(f, env) == lg.evaluate(g, env)
 
 
+def _systems(closures):
+    """What a closure holds that decides its verdict: its declared
+    variables and its rows."""
+    return [(c.variables, c.constraints) for c in closures]
+
+
 def test_dnf_branches_freshen_bound_vars():
     inner = lg.exists(("k",), lg.atom(lg.lin({"x": 1}), "=", lg.lin({"k": 2})))
     f = lg.conj(inner, lg.exists(("k",),
                                  lg.atom(lg.lin({"y": 1}), "=",
                                          lg.lin({"k": 2}, 1)), nonneg=False))
-    (b,) = dnf_branches(f)
-    assert b.nonneg == {"q1"}
-    assert b.free_bound == {"q2"}
-    names = {v for a in b.atoms for t in (a[0], a[2]) for v in t.variables()}
-    assert names == {"x", "y", "q1", "q2"}
+    (closure,) = lg._branches(f, RefutesNothing(), {})
+    assert closure.variables == {"x": False, "y": False,
+                                 "q1": True, "q2": False}
 
 
 def test_dnf_branches_order_and_no_reference_cycle():
@@ -194,11 +200,13 @@ def test_dnf_branches_order_and_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        branches = dnf_branches(f)
-        # nothing the call built is left for the cyclic collector
+        closures = list(lg._branches(f, RefutesNothing(), {}))
+        # nothing the walk built is left for the cyclic collector
         assert gc.collect() == 0
     finally:
         gc.enable()
+    branches = dnf_branches(f)
+    assert _systems(closures) == _systems(map(branch_system, branches))
     got = [[(str(lhs), rel, str(rhs)) for lhs, rel, rhs in b.atoms]
            for b in branches]
     assert got == [
@@ -307,38 +315,6 @@ def test_render_goldens():
         "(exists ((l1 Int)) (and (>= l1 0) (= o1 (* 3 l1))))"
 
 
-def reference_dnf(g, renaming, fresh):
-    """The eager DNF expansion the lazy walker replaced: whole branch lists
-    per subformula, cross products at every conjunction."""
-    if g.op == "true":
-        return [lg.Branch(())]
-    if g.op == "false":
-        return []
-    if g.op == "atom":
-        lhs, _, rhs = g.atom
-        ren = {v: lg.lin(((renaming[v], 1),)) for v in
-               (lhs.variables() | rhs.variables()) & renaming.keys()}
-        return [lg.Branch(((lg.substitute(g, ren) if ren else g).atom,))]
-    if g.op == "or":
-        return [b for h in g.args for b in reference_dnf(h, renaming, fresh)]
-    if g.op == "and":
-        branches = [lg.Branch(())]
-        for h in g.args:
-            sub = reference_dnf(h, renaming, fresh)
-            branches = [lg.Branch(b.atoms + s.atoms, b.nonneg | s.nonneg,
-                                  b.free_bound | s.free_bound)
-                        for b in branches for s in sub]
-        return branches
-    ren = dict(renaming)
-    names = set()
-    for v in g.bound:
-        ren[v] = f"q{next(fresh)}"
-        names.add(ren[v])
-    return [lg.Branch(b.atoms, b.nonneg | names, b.free_bound) if g.nonneg
-            else lg.Branch(b.atoms, b.nonneg, b.free_bound | names)
-            for b in reference_dnf(g.args[0], ren, fresh)]
-
-
 def _random_formula(rng, depth, bound=()):
     names = ("x", "y") + bound
     if depth == 0 or rng.random() < 0.25:
@@ -367,7 +343,10 @@ def test_lazy_walk_matches_eager_dnf_and_branch_loop():
             f = lg.conj(lg.atom(x, "=", rng.randint(-3, 3)),
                         lg.atom(y, "=", rng.randint(-3, 3)), f)
         branches = dnf_branches(f)
-        assert branches == reference_dnf(lg.nnf(f), {}, itertools.count(1))
+        # the lazy walk, refuting nothing, yields every eager branch's
+        # system in order
+        assert _systems(lg._branches(f, RefutesNothing(), {})) == \
+            _systems(map(branch_system, branches))
         expected = ("unsat", None)
         for b in branches:  # the eager loop: one ILP call per branch
             res = Solver().feasible(branch_system(b))
@@ -392,7 +371,7 @@ def test_decide_survives_a_partial_conjunction_hard_for_the_ilp():
                     lg.atom(b, ">=", 100))
     f = lg.exists(("a", "b", "c"), lg.conj(*hard, split))
     (first, _) = dnf_branches(f)
-    partial = lg.Branch(first.atoms[:2], first.nonneg)
+    partial = Branch(first.atoms[:2], first.nonneg)
     assert Solver(node_budget=5000).feasible(
         branch_system(partial)).status == "sat"
     res = Solver(node_budget=5000).feasible(branch_system(first))
@@ -420,26 +399,34 @@ def test_decide_shares_atom_rows_and_keeps_cancelled_variables():
     # one dict of rows shared across branches builds each atom's row once,
     # and each branch's closure holds the branch's system
     rows = {}
-    for b, closure in lg._branches(f, Solver(), rows):
-        oracle = branch_system(b)
-        assert (closure.variables, closure.constraints) == \
-            (oracle.variables, oracle.constraints)
+    assert _systems(lg._branches(f, RefutesNothing(), rows)) == \
+        _systems(map(branch_system, dnf_branches(f)))
     assert len(rows) == 3
 
 
 def test_branch_closures_hold_the_branch_systems():
     # decide hands the solver each branch's closure, which must hold the
-    # branch's system as branch_system builds it from scratch
+    # branch's system as branch_system builds it from scratch; with a
+    # solver the walk yields the eager branches in order but for those
+    # under a refuted partial conjunction, each of them unsat
     rng = random.Random(43)
-    seen = 0
+    seen = dropped = 0
     for _ in range(60):
         f = _random_formula(rng, 4)
-        for b, closure in lg._branches(f, Solver(), {}):
-            oracle = branch_system(b)
-            assert (closure.variables, closure.constraints) == \
-                (oracle.variables, oracle.constraints), f
+        left = iter(map(branch_system, dnf_branches(f)))
+        for closure in lg._branches(f, Solver(), {}):
+            for s in left:
+                if _systems([s]) == _systems([closure]):
+                    break
+                assert Solver().feasible(s).status == "unsat", f
+                dropped += 1
+            else:
+                raise AssertionError(f"a closure of no branch: {f}")
             seen += 1
-    assert seen >= 60
+        for s in left:
+            assert Solver().feasible(s).status == "unsat", f
+            dropped += 1
+    assert seen >= 60 and dropped >= 100
 
 
 def _freshen_by_substitution(g, renaming, fresh):

@@ -28,8 +28,7 @@ def test_finds_smallest_consistent_term():
     ps, e = _pointspec(p, [(0,)])
     out = enumerate_solve(p.grammar, ps, e)
     assert out.status == "found"
-    assert out.candidate.term.to_sexpr() == "1"
-    assert out.candidate.signature == (1,)
+    assert out.candidate.to_sexpr() == "1"
 
 
 def test_respects_size_order():
@@ -39,8 +38,7 @@ def test_respects_size_order():
     ps, e = _pointspec(p, [(3,)])
     out = enumerate_solve(p.grammar, ps, e)
     assert out.status == "found"
-    assert out.candidate.signature == (4,)
-    t = out.candidate.term
+    t = out.candidate
     assert term_size(t) == 7
     env = gr.eval_term(t, e)
     assert env == (4,)
@@ -83,7 +81,7 @@ def test_enumerates_through_conditionals():
     ps, e = _pointspec(p, [(1,)])
     out = enumerate_solve(p.grammar, ps, e)
     assert out.status == "found"
-    assert ps.evaluate(gr.eval_term(out.candidate.term, e))
+    assert ps.evaluate(gr.eval_term(out.candidate, e))
 
 
 def test_conditional_witness_on_two_examples():
@@ -94,9 +92,9 @@ def test_conditional_witness_on_two_examples():
     ps, e = _pointspec(p, [(1,), (2,)])
     out = enumerate_solve(p.grammar, ps, e, max_size=26, max_terms=500_000)
     assert out.status == "found"
-    assert out.candidate.term.to_sexpr() == \
+    assert out.candidate.to_sexpr() == \
         "(ite (< 0 (ite (< x 2) 0 (+ x x 0))) (+ x x x 0) (+ x x (+ x x 0)))"
-    sig = gr.eval_term(out.candidate.term, e)
+    sig = gr.eval_term(out.candidate, e)
     assert sig == (4, 6)
     assert ps.evaluate(sig)
 
@@ -123,7 +121,7 @@ def test_alias_productions_surface_sub_terms():
     ps, e = _pointspec(p, [(1,), (3,)])
     out = enumerate_solve(p.grammar, ps, e)
     assert out.status == "found"
-    assert gr.eval_term(out.candidate.term, e) == (4, 12)
+    assert gr.eval_term(out.candidate, e) == (4, 12)
 
 
 def test_verify_accepts_valid_candidate():

@@ -13,7 +13,7 @@ disjunction, and abstracts the output on one example.
 
 from . import logic as lg
 from .grammar import (
-    AND, BOOL, DOUBLE, INC, INT, ITE, LESSTHAN, NOT, NUM, NEGVAR, PLUS, VAR,
+    AND, DOUBLE, INC, INT, ITE, LESSTHAN, NOT, NUM, NEGVAR, PLUS, VAR,
     GrammarError, IterationOverrun, Term, eval_term, numeral,
 )
 from .rewrite import to_plus_form
@@ -111,7 +111,7 @@ def horn_export(g, e, ps):
     d = e.dimension
     lines = ["(set-logic HORN)"]
     for nt, sort in g.nonterminals:
-        args = " ".join(["Bool" if sort == BOOL else "Int"] * d)
+        args = " ".join([sort] * d)
         lines.append(f"(declare-fun {nt} ({args}) Bool)")
     for p in g.productions:
         lines.append(_clause(g, p, e, d))
@@ -127,8 +127,7 @@ def horn_export(g, e, ps):
 def _clause(g, p, e, d):
     if p.is_alias:
         vs = [f"v0_{j + 1}" for j in range(d)]
-        sort = "Bool" if g.sorts[p.lhs] == BOOL else "Int"
-        decls = " ".join(f"({v} {sort})" for v in vs)
+        decls = " ".join(f"({v} {g.sorts[p.lhs]})" for v in vs)
         return (f"(assert (forall ({decls}) "
                 f"(=> ({p.args[0]} {' '.join(vs)}) ({p.lhs} {' '.join(vs)}))))")
     k = p.symbol.kind
@@ -143,9 +142,8 @@ def _clause(g, p, e, d):
         if isinstance(a, Term):
             vs.append([_ground(v) for v in eval_term(a, e)])
             continue
-        sort = "Bool" if g.sorts[a] == BOOL else "Int"
         block = [f"v{i}_{j + 1}" for j in range(d)]
-        decls += [f"({v} {sort})" for v in block]
+        decls += [f"({v} {g.sorts[a]})" for v in block]
         body.append(f"({a} {' '.join(block)})")
         vs.append(block)
 

@@ -53,7 +53,8 @@ def _parser():
         p.add_argument("--mode", choices=["sl", "predabs"], default="sl",
                        help="abstract domain (default: exact semi-linear)")
         p.add_argument("--export-smt", metavar="DIR",
-                       help="dump every feasibility query as SMT-LIB")
+                       help="write each ILP system that bound propagation "
+                            "leaves open to DIR as SMT-LIB")
         p.add_argument("--json", action="store_true",
                        help="machine-readable verdict on stdout")
         p.add_argument("-v", "--verbose", action="count", default=0,
@@ -108,8 +109,8 @@ def _grammar_error(err, args):
 
 
 def _parse_examples(text, variables):
-    if not variables:
-        return ExampleSet((), ((),))
+    """The examples `text` assigns, separated by `;`; with no inputs to
+    assign, an empty list is the one empty example."""
     rows = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -133,7 +134,9 @@ def _parse_examples(text, variables):
             raise ValueError(f"missing value for {missing[0]!r}")
         rows.append(tuple(env[v] for v in variables))
     if not rows:
-        raise ValueError("no examples given")
+        if variables:
+            raise ValueError("no examples given")
+        rows.append(())
     return ExampleSet(tuple(variables), tuple(rows))
 
 

@@ -110,19 +110,13 @@ class MutualResult:
 
 
 def solve_mutual(sys, solver, trace=None):
-    """Alternating solve for a system mixing both sorts."""
+    """Alternating solve for a stratum with a Boolean nonterminal or a
+    conditional; a Boolean-only one settles in one round."""
     d = sys.dimension
     int_names = [nt for nt in sys.equations if sys.sorts[nt] != BOOL]
     bool_eqs = {nt: monos for nt, monos in sys.equations.items()
                 if sys.sorts[nt] == BOOL}
     lt = LessThanCache(solver)
-
-    if not sys.has_ite():
-        int_sys = restrict(sys, int_names)
-        nu_int = npa_solve(int_sys, solver) if int_names else {}
-        nu_bool, _ = solve_bool(bool_eqs, nu_int, lt, d)
-        return MutualResult({**nu_int, **nu_bool}, 1)
-
     bound = len(sys.equations) * (2 ** d)
     nu_int = {nt: sl.ZERO for nt in int_names}
     prev_bool = None

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from . import grammar as gr
 from . import logic
 from .grammar import (
-    BOOL, INT, PLUS, SPELLING, Production, Rtg, Symbol, leaf, num, numeral,
-    plus, var,
+    BOOL, INT, PLUS, SPELLING, Production, Rtg, Symbol, leaf, num, plus, var,
 )
 
 OUT = "%out"  # stand-in for the synthesized function's output in spec atoms
@@ -422,44 +421,13 @@ def specialize(spec, e):
 
 # --- pretty-printing --------------------------------------------------------
 
-def _format_formula(f, names):
-    """A specification formula, written with `names` (the output slot to
-    the function application)."""
-    if f.op == "true":
-        return "true"
-    if f.op == "false":
-        return "false"
-    if f.op == "atom":
-        lhs, rel, rhs = f.atom
-        op = "distinct" if rel == "!=" else rel
-        return (f"({op} {logic.render_lin(lhs, names)} "
-                f"{logic.render_lin(rhs, names)})")
-    if f.op in ("and", "or"):
-        inner = " ".join(_format_formula(g, names) for g in f.args)
-        return f"({f.op} {inner})"
-    if f.op == "not":
-        return f"(not {_format_formula(f.args[0], names)})"
-    raise ValueError("specifications are quantifier-free")
-
-
-def _format_arg(a):
-    if isinstance(a, str):
-        return a
-    sym = a.symbol
-    if sym.kind == gr.NUM:
-        return numeral(sym.value)
-    if sym.kind == gr.VAR:
-        return sym.name
-    raise ValueError(f"cannot print argument {a}")
-
-
 def _format_production(p):
     if p.is_alias:
         return p.args[0]
-    sym = p.symbol
-    if sym.rank == 0:
-        return _format_arg(leaf(sym))
-    return f"({SPELLING[sym.kind]} {' '.join(_format_arg(a) for a in p.args)})"
+    if p.symbol.rank == 0:
+        return leaf(p.symbol).to_sexpr()
+    args = " ".join(a if isinstance(a, str) else a.to_sexpr() for a in p.args)
+    return f"({SPELLING[p.symbol.kind]} {args})"
 
 
 def format_problem(p):
@@ -469,8 +437,7 @@ def format_problem(p):
         if key != "logic":
             lines.append(f"(set-option :{key} {p.options[key]})")
     args = " ".join(f"({v} Int)" for v in p.variables)
-    sorts = dict(p.grammar.nonterminals)
-    ret = "Int" if sorts[p.grammar.start] == INT else "Bool"
+    ret = dict(p.grammar.nonterminals)[p.grammar.start]
     lines.append(f"(synth-fun {p.name} ({args}) {ret}")
     lines.append("  (")
     by_lhs = {}
@@ -478,15 +445,14 @@ def format_problem(p):
         by_lhs.setdefault(prod.lhs, []).append(prod)
     for nt, sort in p.grammar.nonterminals:
         prods = " ".join(_format_production(q) for q in by_lhs.get(nt, []))
-        sname = "Int" if sort == INT else "Bool"
-        lines.append(f"    ({nt} {sname} ({prods}))")
+        lines.append(f"    ({nt} {sort} ({prods}))")
     lines.append("  ))")
     app = " ".join((p.name,) + p.variables)
     names = {OUT: f"({app})"}
     if p.spec.op == "and":
         for g in p.spec.args:
-            lines.append(f"(constraint {_format_formula(g, names)})")
+            lines.append(f"(constraint {logic.render(g, names)})")
     elif p.spec.op != "true":
-        lines.append(f"(constraint {_format_formula(p.spec, names)})")
+        lines.append(f"(constraint {logic.render(p.spec, names)})")
     lines.append("(check-synth)")
     return "\n".join(lines) + "\n"

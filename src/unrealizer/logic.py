@@ -217,53 +217,39 @@ def _negated_atom(lhs, rel, rhs):
     return atom(lhs, "<", rhs)  # rel == ">="
 
 
-def nnf(f, negate=False):
-    """Negation normal form; all atoms use {=, <, <=}."""
-    if f.op == "true":
-        return FALSE if negate else TRUE
-    if f.op == "false":
-        return TRUE if negate else FALSE
-    if f.op == "atom":
-        lhs, rel, rhs = f.atom
-        return _negated_atom(lhs, rel, rhs) if negate \
-            else _positive_atom(lhs, rel, rhs)
-    if f.op == "not":
-        return nnf(f.args[0], not negate)
-    if f.op == "and":
-        sub = tuple([nnf(g, negate) for g in f.args])
-        return disj(*sub) if negate else conj(*sub)
-    if f.op == "or":
-        sub = tuple([nnf(g, negate) for g in f.args])
-        return conj(*sub) if negate else disj(*sub)
-    if f.op == "exists":
-        if negate:
-            raise ValueError("negation over a quantifier is not supported")
-        return exists(f.bound, nnf(f.args[0]), f.nonneg)
-    raise ValueError(f.op)
-
-
-def _freshen(g, renaming, fresh):
-    """Rename every bound variable to q1, q2, ... in pre-order."""
+def _prepare(f, negate, renaming, fresh):
+    """f, negated when `negate` is set, in negation normal form with atoms
+    over {=, <, <=} and every bound variable renamed: the binders take
+    q1, q2, ... from `fresh` in pre-order, and `renaming` maps the names
+    bound around f to theirs."""
     # a module-level recursion, not a nested closure: a closure that calls
     # itself is a reference cycle left to the cyclic collector on every call
-    if g.op == "atom":
-        lhs, rel, rhs = g.atom
-        if renaming.keys().isdisjoint(lhs.variables() | rhs.variables()):
-            return g
-        return LiaFormula("atom", atom=(_rename(lhs, renaming), rel,
-                                        _rename(rhs, renaming)))
-    if g.op == "exists":
+    op = f.op
+    if op == "atom":
+        lhs, rel, rhs = f.atom
+        if renaming and not renaming.keys().isdisjoint(
+                lhs.variables() | rhs.variables()):
+            lhs, rhs = _rename(lhs, renaming), _rename(rhs, renaming)
+        return _negated_atom(lhs, rel, rhs) if negate \
+            else _positive_atom(lhs, rel, rhs)
+    if op == "and" or op == "or":
+        sub = [_prepare(g, negate, renaming, fresh) for g in f.args]
+        return disj(*sub) if (op == "and") == negate else conj(*sub)
+    if op == "not":
+        return _prepare(f.args[0], not negate, renaming, fresh)
+    if op == "exists":
+        if negate:
+            raise ValueError("negation over a quantifier is not supported")
         ren = dict(renaming)
         names = []
-        for v in g.bound:
+        for v in f.bound:
             ren[v] = f"q{next(fresh)}"
             names.append(ren[v])
-        return LiaFormula("exists", (_freshen(g.args[0], ren, fresh),),
-                          bound=tuple(names), nonneg=g.nonneg)
-    if g.args:
-        return LiaFormula(g.op, tuple([_freshen(h, renaming, fresh)
-                                       for h in g.args]))
-    return g
+        return exists(tuple(names), _prepare(f.args[0], False, ren, fresh),
+                      f.nonneg)
+    if op == "true" or op == "false":
+        return FALSE if (op == "true") == negate else TRUE
+    raise ValueError(op)
 
 
 def _rename(t, renaming):
@@ -295,7 +281,7 @@ def _branches(f, solver, rows):
     so.  `rows` maps an atom to its row and variables, built once per
     atom (`_atom_row`).
     """
-    stack = [((_freshen(nnf(f), {}, itertools.count(1)), None),
+    stack = [((_prepare(f, False, {}, itertools.count(1)), None),
               ilp.Closure(), (), ())]
     while stack:
         todo, closure, atoms, bound = stack.pop()
@@ -433,26 +419,18 @@ def render_lin(t, names=None):
     return "(+ " + " ".join(parts) + ")"
 
 
-def render(f):
-    """S-expression body of a formula."""
-    if f.op == "true":
-        return "true"
-    if f.op == "false":
-        return "false"
+def render(f, names=None):
+    """S-expression of a quantifier-free formula; `names` as for
+    `render_lin`."""
     if f.op == "atom":
         lhs, rel, rhs = f.atom
-        if rel == "!=":
-            return f"(not (= {render_lin(lhs)} {render_lin(rhs)}))"
-        return f"({rel} {render_lin(lhs)} {render_lin(rhs)})"
+        op = "distinct" if rel == "!=" else rel
+        return f"({op} {render_lin(lhs, names)} {render_lin(rhs, names)})"
     if f.op in ("and", "or"):
-        return f"({f.op} " + " ".join(render(g) for g in f.args) + ")"
+        return f"({f.op} " + " ".join(render(g, names) for g in f.args) + ")"
     if f.op == "not":
-        return f"(not {render(f.args[0])})"
-    if f.op == "exists":
-        decls = " ".join(f"({v} Int)" for v in f.bound)
-        body = render(f.args[0])
-        if f.nonneg:
-            lows = " ".join(f"(>= {v} 0)" for v in f.bound)
-            body = f"(and {lows} {body})"
-        return f"(exists ({decls}) {body})"
-    raise ValueError(f.op)
+        return f"(not {render(f.args[0], names)})"
+    if f.op in ("true", "false"):
+        return f.op
+    raise ValueError(f"cannot render {f.op}: formulas here are "
+                     f"quantifier-free")

@@ -3,13 +3,13 @@
 Each one is the plain, eager form of something the package computes
 another way: bounded tree and value enumeration for the equation
 solvers, Kleene iteration for Newton's method, the guard-pattern sum for
-`ite`, the one-shot `LessThan`, the DNF branches with their ILP
-systems for the lazy walk in `logic.decide`, and the bottom-up facts of
-an exported Horn script for a check without a Horn solver.  The
-operator symbols the tests write productions with are here too, and a
-solver stand-in that refutes nothing.  The package itself never calls
-them.  pytest does not collect this module (its name does not
-start with ``test_``); the tests import it by name.
+`ite`, the one-shot `LessThan`, negation normal form and the DNF
+branches with their ILP systems for the lazy walk in `logic.decide`, and
+the bottom-up facts of an exported Horn script for a check without a
+Horn solver.  The operator symbols the tests write productions with are
+here too, and a solver stand-in that refutes nothing.  The package
+itself never calls them.  pytest does not collect this module (its name
+does not start with ``test_``); the tests import it by name.
 """
 
 import itertools
@@ -228,6 +228,32 @@ class Branch(NamedTuple):
     free_bound: frozenset = frozenset()
 
 
+def nnf(f, negate=False):
+    """Negation normal form with atoms over {=, <, <=}, on its own: the
+    pass `logic._prepare` makes together with renaming bound variables."""
+    if f.op == "true":
+        return lg.FALSE if negate else lg.TRUE
+    if f.op == "false":
+        return lg.TRUE if negate else lg.FALSE
+    if f.op == "atom":
+        lhs, rel, rhs = f.atom
+        return lg._negated_atom(lhs, rel, rhs) if negate \
+            else lg._positive_atom(lhs, rel, rhs)
+    if f.op == "not":
+        return nnf(f.args[0], not negate)
+    if f.op == "and":
+        sub = [nnf(g, negate) for g in f.args]
+        return lg.disj(*sub) if negate else lg.conj(*sub)
+    if f.op == "or":
+        sub = [nnf(g, negate) for g in f.args]
+        return lg.conj(*sub) if negate else lg.disj(*sub)
+    if f.op == "exists":
+        if negate:
+            raise ValueError("negation over a quantifier is not supported")
+        return lg.exists(f.bound, nnf(f.args[0]), f.nonneg)
+    raise ValueError(f.op)
+
+
 def reference_dnf(g, renaming, fresh):
     """The eager DNF expansion of a formula in negation normal form that
     the lazy walk in `logic._branches` replaced: whole branch lists per
@@ -263,7 +289,7 @@ def reference_dnf(g, renaming, fresh):
 
 def dnf_branches(f):
     """DNF of a formula; bound variables are freshened to q1, q2, ..."""
-    return reference_dnf(lg.nnf(f), {}, itertools.count(1))
+    return reference_dnf(nnf(f), {}, itertools.count(1))
 
 
 class RefutesNothing:

@@ -168,6 +168,19 @@ def test_horn_export_triple_sum_golden():
         "(check-sat)\n")
 
 
+def test_horn_export_writes_a_disequality_as_distinct():
+    p = parse_problem("(set-logic LIA)\n"
+                      "(synth-fun f ((x Int)) Int ((Start Int ((+ Start x) 0))))\n"
+                      "(constraint (distinct (f x) (+ x 1)))\n"
+                      "(check-synth)\n")
+    e = gr.ExampleSet(("x",), ((1,), (-2,)))
+    text = horn_export(p.grammar, e, specialize(p.spec, e)).decode()
+    assert text.splitlines()[-2] == (
+        "(assert (forall ((o1 Int) (o2 Int)) "
+        "(=> (and (Start o1 o2) (distinct o1 2) (distinct o2 (- 1))) "
+        "false)))")
+
+
 def test_horn_export_is_byte_stable():
     assert _horn("g1.sy", [(1,)]) == _horn("g1.sy", [(1,)])
     assert _horn("g2.sy", [(1,), (2,)]) == _horn("g2.sy", [(1,), (2,)])

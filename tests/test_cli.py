@@ -205,6 +205,25 @@ def test_bad_examples_are_usage_errors(capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+def test_examples_of_a_problem_without_inputs(capsys, tmp_path):
+    problem = tmp_path / "const.sy"
+    problem.write_text("(set-logic LIA)\n"
+                       "(synth-fun f () Int ((S Int ((+ S S) 1))))\n"
+                       "(constraint (= (f) 0))\n(check-synth)\n")
+    # no input can be assigned: an assignment is a usage error
+    for bad in ("x=1;garbage", "x=1", ";garbage"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check-examples", str(problem), "--examples", bad])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: bad assignment")
+    # an empty list is the one empty example
+    for empty in ("", ";"):
+        code = cli.main(["check-examples", str(problem), "--json",
+                         "--examples", empty])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["examples"] == [[]]
+
+
 def test_parse_error_reports_position(capsys, tmp_path):
     bad = tmp_path / "bad.sy"
     bad.write_text("(set-logic LIA")

@@ -180,16 +180,19 @@ def test_solve_conditional_grammar_golden():
 
 
 def test_solve_mutual_fast_path_without_conditionals():
-    # Bool and Int in one stratum but no ite: a single alternation suffices
+    # the only stratum without ite that `solve` hands over is Bool-only
+    # (an Int nonterminal reaches a Bool one through an ite guard alone),
+    # here with S = 0 | S + (1,2) already solved: one alternation settles it
+    s = _sls(((0, 0), [(1, 2)]))
     sys = PolynomialSystem(
-        {"S": (IntMonomial(sl.singleton((1, 2)), (Factor("S"),)),
-               IntMonomial(sl.singleton((0, 0)))),
-         "B": (BoolMonomial("lessthan", (sl.singleton((0, 0)), "S")),)},
-        2, {"S": gr.INT, "B": gr.BOOL})
+        {"B": (BoolMonomial("lessthan", (sl.singleton((0, 0)), s)),
+               BoolMonomial("not", ("C",))),
+         "C": (BoolMonomial("and", ("B", "B")),)},
+        2, {"B": gr.BOOL, "C": gr.BOOL})
     res = clia.solve_mutual(sys, Solver())
     assert res.outer_iterations == 1
     assert res.values["B"] == frozenset({(F, F), (T, T)})
-    assert str(res.values["S"]) == "{<(0,0),{(1,2)}>}"
+    assert res.values["C"] == frozenset({(F, F), (T, T)})
 
 
 def test_solve_mutual_keeps_unreachable_branches_out():

@@ -160,6 +160,17 @@ def test_specialize_zero_arity():
     assert not ps.evaluate((4,))
 
 
+# every relation and connective a specification may use; true and false
+# survive parsing only under a negation
+EVERY_CONNECTIVE = """(set-logic LIA)
+(synth-fun f ((x Int) (y Int)) Int ((Start Int (x y (+ Start Start)))))
+(constraint (distinct (f x y) x))
+(constraint (or (< (f x y) y) (not (>= (f x y) 10)) (not false)))
+(constraint (or (<= (f x y) 5) (> (f x y) (+ x 7)) (not true)))
+(constraint (not (and (= (f x y) (* 2 y)) (< x y))))
+(check-synth)
+"""
+
 NEGATIVE = """(set-logic LIA)
 (synth-fun f ((x Int)) Int ((Start Int (x -3 (+ Start Start) (+ Start -4)))))
 (constraint (= (f x) (- (- 0 (* 2 x)) 5)))
@@ -170,7 +181,7 @@ NEGATIVE = """(set-logic LIA)
 def test_format_round_trip():
     texts = [(PROBLEMS / f).read_text()
              for f in ("g1.sy", "g2.sy", "gconst.sy", "parity.sy")]
-    for text in texts + [NEGATIVE]:
+    for text in texts + [NEGATIVE, EVERY_CONNECTIVE]:
         p = fe.parse_problem(text)
         q = fe.parse_problem(fe.format_problem(p))
         assert q.name == p.name
@@ -188,3 +199,6 @@ def test_format_round_trip():
     assert not re.search(r"-\d", text)
     assert gr.num(-3) in [q.symbol for q in p.grammar.productions]
     assert "(constraint (= (f x) (+ (* (- 2) x) (- 5))))" in text
+    # each constraint prints as it was written, != as distinct
+    text = fe.format_problem(fe.parse_problem(EVERY_CONNECTIVE))
+    assert text.splitlines()[5:9] == EVERY_CONNECTIVE.splitlines()[2:6]

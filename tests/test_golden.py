@@ -50,14 +50,43 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("golden, code, argv", CASES,
-                         ids=[c[0] for c in CASES])
-def test_cli_output_matches_golden(golden, code, argv):
+# the systems `--export-smt` writes, one file per query, concatenated under
+# their file names; max2's are verification queries over the inputs, and
+# gconst's carry the bound variables q1, q2, ... of the abstraction queries
+EXPORT_CASES = [
+    ("export_smt_max2.smt2", 10, "max2.sy"),
+    ("export_smt_gconst.smt2", 20, "gconst.sy"),
+]
+
+
+def _run(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     argv = [str(PROBLEMS / a) if a.endswith(".sy") else a for a in argv]
-    out = subprocess.run([sys.executable, "-m", "unrealizer", *argv],
-                         capture_output=True, timeout=120, env=env)
+    return subprocess.run([sys.executable, "-m", "unrealizer", *argv],
+                          capture_output=True, timeout=120, env=env)
+
+
+@pytest.mark.parametrize("golden, code, argv", CASES,
+                         ids=[c[0] for c in CASES])
+def test_cli_output_matches_golden(golden, code, argv):
+    out = _run(argv)
     assert out.returncode == code
     assert out.stdout == (GOLDEN / golden).read_bytes()
+
+
+def concatenated_exports(directory):
+    """Every file in `directory`, in name order, each after a comment
+    line naming it."""
+    return b"".join(b"; " + f.name.encode() + b"\n" + f.read_bytes()
+                    for f in sorted(Path(directory).iterdir()))
+
+
+@pytest.mark.parametrize("golden, code, problem", EXPORT_CASES,
+                         ids=[c[0] for c in EXPORT_CASES])
+def test_exported_queries_match_golden(golden, code, problem, tmp_path):
+    out = _run(["check", problem, "--seed", "0", "--max-rounds", "6",
+                "--export-smt", str(tmp_path)])
+    assert out.returncode == code
+    assert concatenated_exports(tmp_path) == (GOLDEN / golden).read_bytes()

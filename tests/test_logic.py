@@ -5,7 +5,7 @@ import random
 import pytest
 
 from oracles import (
-    Branch, RefutesNothing, branch_system, dnf_branches, free_vars,
+    Branch, RefutesNothing, branch_system, dnf_branches, free_vars, nnf,
 )
 from unrealizer import logic as lg
 from unrealizer import semilinear as sl
@@ -138,10 +138,14 @@ def test_substitute_matches_term_by_term_substitution():
         lg.substitute(lg.conj(lg.TRUE, h), {"k": 1})
 
 
+def _prepare(f):
+    return lg._prepare(f, False, {}, itertools.count(1))
+
+
 def test_nnf_pushes_negation():
     x = lg.lin({"x": 1})
     f = lg.neg(lg.conj(lg.atom(x, "<", 5), lg.atom(x, "=", 3)))
-    g = lg.nnf(f)
+    g = _prepare(f)
     assert g.op == "or"
     # no "not" anywhere after normalization
     def ops(h):
@@ -150,7 +154,7 @@ def test_nnf_pushes_negation():
             yield from ops(a)
     assert "not" not in set(ops(g))
     with pytest.raises(ValueError):
-        lg.nnf(lg.neg(lg.exists(("k",), lg.TRUE)))
+        _prepare(lg.neg(lg.exists(("k",), lg.TRUE)))
 
 
 def test_nnf_equivalent_on_points():
@@ -168,7 +172,8 @@ def test_nnf_equivalent_on_points():
                 f = lg.disj(f, rng.choice(atoms))
             else:
                 f = lg.neg(f)
-        g = lg.nnf(f)
+        g = _prepare(f)
+        assert g == nnf(f)
         for _ in range(20):
             env = {"x": rng.randint(-4, 4), "y": rng.randint(-4, 4)}
             assert lg.evaluate(f, env) == lg.evaluate(g, env)
@@ -309,10 +314,13 @@ def test_render_goldens():
     x = lg.lin({"x": 2}, -1)
     assert lg.render(lg.atom(x, "<=", 0)) == "(<= (+ (* 2 x) (- 1)) 0)"
     assert lg.render(lg.atom(lg.lin({"x": 1}), "!=", 3)) == \
-        "(not (= x 3))"
-    f = lg.exists(("l1",), lg.atom(lg.lin({"o1": 1}), "=", lg.lin({"l1": 3})))
-    assert lg.render(f) == \
-        "(exists ((l1 Int)) (and (>= l1 0) (= o1 (* 3 l1))))"
+        "(distinct x 3)"
+    f = lg.neg(lg.disj(lg.atom(lg.lin({"o1": 1}), ">", 0),
+                       lg.atom(lg.lin({"o1": 3}), "=", 1)))
+    assert lg.render(f, {"o1": "(f x)"}) == \
+        "(not (or (> (f x) 0) (= (* 3 (f x)) 1)))"
+    with pytest.raises(ValueError):
+        lg.render(lg.exists(("l1",), lg.atom(lg.lin({"l1": 1}), "=", 0)))
 
 
 def _random_formula(rng, depth, bound=()):
@@ -430,8 +438,9 @@ def test_branch_closures_hold_the_branch_systems():
 
 
 def _freshen_by_substitution(g, renaming, fresh):
-    """`_freshen` as it read when each atom was renamed by `substitute`
-    with every bound variable mapped to the term of its new name."""
+    """The renaming of bound variables in `logic._prepare` as it read
+    when each atom was renamed by `substitute` with every bound variable
+    mapped to the term of its new name."""
     if g.op == "atom":
         lhs, _, rhs = g.atom
         ren = {v: lg.lin(((renaming[v], 1),)) for v in
@@ -477,8 +486,9 @@ def test_freshen_matches_renaming_by_substitution():
     renamed = 0
     for i in range(300):
         f = (_random_binder_formula(rng, 4) if i % 2
-             else lg.nnf(_random_formula(rng, 4)))
-        got = lg._freshen(f, {}, itertools.count(1))
-        assert got == _freshen_by_substitution(f, {}, itertools.count(1)), f
-        renamed += got != f
+             else _random_formula(rng, 4))
+        got = _prepare(f)
+        assert got == _freshen_by_substitution(nnf(f), {},
+                                               itertools.count(1)), f
+        renamed += got != nnf(f)
     assert renamed >= 100

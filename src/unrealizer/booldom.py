@@ -11,17 +11,19 @@ most one multiplier and flips sign at most once as it grows, so a
 column's patterns are those at 0 and at each flip, and the pair's are
 their product, exact because the multipliers are independent.  Points
 are disjoint, and so are `ite` components whose generators sit on
-disjoint guard masks.  The other pairs go to a search.  A bounded
-concretization scan first finds cheap positive witnesses.  The rest is
-a depth-first search over coordinates that fixes one sign per level:
-every prefix not yet found is decided by exact integer feasibility, and
-a refuted prefix cuts off all of its extensions at once.  Arithmetic
-patterns count as found, so they prune the search too.  A prefix's
-system is an `ilp.Closure` (exact bound propagation): one sign longer,
-it is its parent's extended by one row, which is the closure of the
-whole prefix system since propagation is monotone.  The solver answers
-from it when propagation rules the prefix out or pins every multiplier,
-and sends only the prefixes it leaves open to branch and bound.
+disjoint guard masks.  The other pairs go to a depth-first search over
+coordinates that fixes one sign per level: every prefix not yet found is
+decided by exact integer feasibility, and a refuted prefix cuts off all
+of its extensions at once.  A pattern is found once some point realizes
+it: a disjoint pair's pattern, the base difference of every other pair
+(all multipliers 0), and the point the solver returns for each feasible
+prefix, whose full pattern extends that prefix.  The search asks no
+solver about a prefix of a found pattern.  A prefix's system is an
+`ilp.Closure` (exact bound propagation): one sign longer, it is its
+parent's extended by one row, which is the closure of the whole prefix
+system since propagation is monotone.  The solver answers from it when
+propagation rules the prefix out or pins every multiplier, and sends
+only the prefixes it leaves open to branch and bound.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ from .semilinear import LinearSet, SemiLinearSet
 
 BoolVec = tuple[bool, ...]
 BoolVecSet = frozenset  # of BoolVec
-
-_GAMMA_PAIR_CAP = 4096  # max candidate pairs scanned in the witness pass
 
 
 def mask_str(b: BoolVec) -> str:
@@ -63,14 +63,20 @@ def abs_and(b1: BoolVecSet, b2: BoolVecSet) -> BoolVecSet:
     return frozenset(conj(a, b) for a in b1 for b in b2)
 
 
-def _disjoint_patterns(c1: LinearSet, c2: LinearSet) -> BoolVecSet | None:
-    """The patterns o1 < o2 over o1 in c1, o2 in c2 when the pair is
-    disjoint, else None.  With u = c1.base - c2.base, coordinate i of a
-    column w is u_i + w_i*l < 0 at multiplier l; it flips at
+def _difference(c1: LinearSet, c2: LinearSet) -> tuple[list[int], tuple]:
+    """o1 - o2 over o1 in c1, o2 in c2 as u + sum of l_j * cols_j over
+    multipliers l_j >= 0: u = c1.base - c2.base, and the columns are
+    c1's generators, then c2's negated."""
+    u = [a - b for a, b in zip(c1.base, c2.base)]
+    return u, c1.gens + tuple([tuple([-x for x in g]) for g in c2.gens])
+
+
+def _disjoint_patterns(u: list[int], cols: tuple) -> BoolVecSet | None:
+    """The patterns u + sum of l_j * cols_j < 0 over multipliers l_j >= 0
+    when no coordinate is nonzero in two columns, else None.  Coordinate
+    i of a column w is u_i + w_i*l < 0 at multiplier l; it flips at
     ceil(-u_i/w_i) when w_i > 0 > u_i and at floor(u_i/-w_i) + 1 when
     w_i < 0 <= u_i, and never otherwise."""
-    u = [a - b for a, b in zip(c1.base, c2.base)]
-    cols = c1.gens + tuple([tuple([-x for x in g]) for g in c2.gens])
     supports = [[i for i, x in enumerate(w) if x] for w in cols]
     if sum(map(len, supports)) != len(set().union(*supports)):
         return None
@@ -97,32 +103,32 @@ def _disjoint_patterns(c1: LinearSet, c2: LinearSet) -> BoolVecSet | None:
 
 
 class _Pair:
-    """One pair of components c1, c2: the rows that put o1 in c1, o2 in c2
-    and one sign of o1 < o2 on one coordinate, and the closures of the
-    sign prefixes reached so far.
+    """One pair of components c1, c2 as `_difference` writes it: the rows
+    that put one sign of o1 < o2 on one coordinate, and the closures of
+    the sign prefixes reached so far.
 
-    The variables are the generator multipliers, nonneg: a0.. for c1 and
-    b0.. for c2.  Coordinate i has a row per sign, both over
-    o1_i - o2_i as a sum of multipliers plus a constant.
+    The variables are the multipliers of the columns, nonneg: a0.. for
+    c1's generators and b0.. for c2's.  Coordinate i has a row per sign,
+    both over o1_i - o2_i = u_i + sum of the column entries times their
+    multipliers.
     """
 
-    __slots__ = ("rows", "closures")
+    __slots__ = ("u", "cols", "names", "rows", "closures")
 
-    def __init__(self, c1: LinearSet, c2: LinearSet):
-        variables = [(f"a{j}", True) for j in range(len(c1.gens))]
-        variables += [(f"b{j}", True) for j in range(len(c2.gens))]
+    def __init__(self, u: list[int], cols: tuple, n1: int):
+        self.u, self.cols = u, cols
+        self.names = [f"a{j}" for j in range(n1)]
+        self.names += [f"b{j}" for j in range(len(cols) - n1)]
         self.rows: list[tuple[ilp.Constraint, ilp.Constraint]] = []
-        for i in range(len(c1.base)):
-            coeffs = {f"a{j}": g[i] for j, g in enumerate(c1.gens)}
-            coeffs.update({f"b{j}": -g[i] for j, g in enumerate(c2.gens)})
-            const = c1.base[i] - c2.base[i]
+        for i, const in enumerate(u):
+            coeffs = {v: w[i] for v, w in zip(self.names, cols)}
             # o1_i >= o2_i, i.e. -(o1_i - o2_i) <= 0; and o1_i < o2_i
             self.rows.append((
                 ilp.constraint({v: -k for v, k in coeffs.items()}, ilp.LE,
                                const),
                 ilp.constraint(coeffs, ilp.LT, -const)))
         self.closures: dict[BoolVec, ilp.Closure] = {
-            (): ilp.Closure().add((), variables)}
+            (): ilp.Closure().add((), [(v, True) for v in self.names])}
 
     def closure(self, prefix: BoolVec) -> ilp.Closure:
         """The closure of the prefix's rows, memoised: the longest
@@ -135,6 +141,12 @@ class _Pair:
             cl = cl.add((self.rows[i][prefix[i]],))
             self.closures[prefix[:i + 1]] = cl
         return cl
+
+    def pattern(self, multipliers: dict[str, int]) -> BoolVec:
+        """The sign pattern of o1 < o2 at the given multipliers."""
+        ks = [multipliers[v] for v in self.names]
+        return tuple([x + sum([k * w[i] for k, w in zip(ks, self.cols)]) < 0
+                      for i, x in enumerate(self.u)])
 
 
 class LessThanCache:
@@ -160,9 +172,10 @@ class LessThanCache:
     def _pair(self, c1: LinearSet, c2: LinearSet) -> _Pair | BoolVecSet:
         pair = self._pairs.get((c1, c2))
         if pair is None:
-            pair = _disjoint_patterns(c1, c2)
+            u, cols = _difference(c1, c2)
+            pair = _disjoint_patterns(u, cols)
             if pair is None:
-                pair = _Pair(c1, c2)
+                pair = _Pair(u, cols, len(c1.gens))
             self._pairs[c1, c2] = pair
         return pair
 
@@ -179,22 +192,17 @@ class LessThanCache:
                 pair = self._pair(c1, c2)
                 if isinstance(pair, _Pair):
                     pairs.append(pair)
+                    found.add(tuple([x < 0 for x in pair.u]))
                 else:
                     found |= pair
         if not pairs:
             return frozenset(found)
-        # positive witnesses from bounded concretizations, no feasibility calls
-        g1 = sorted(sl1.gamma_bounded(2))
-        g2 = sorted(sl2.gamma_bounded(2))
-        if len(g1) * len(g2) <= _GAMMA_PAIR_CAP:
-            for v1 in g1:
-                for v2 in g2:
-                    found.add(tuple([a < b for a, b in zip(v1, v2)]))
         witnessed = {p[:k] for p in found for k in range(1, d + 1)}
         # depth first over coordinates.  A prefix carries the component
         # pairs not yet refuted for it, and a child drops pairs only up to
-        # the first one it cannot refute.  Every prefix is decided exactly,
-        # so a full-length pattern's first kept pair is feasible.
+        # the first one it cannot refute; a prefix of a found pattern drops
+        # none.  Every other prefix is decided exactly, so a full-length
+        # pattern is found or its first kept pair is feasible.
         stack = [((), pairs)]
         while stack:
             prefix, pairs = stack.pop()
@@ -205,14 +213,13 @@ class LessThanCache:
                 child = prefix + (bit,)
                 i = 0
                 if child not in witnessed:
-                    while i < len(pairs) and self._refuted(pairs[i], child):
+                    while i < len(pairs):
+                        res = self.solver.feasible(pairs[i].closure(child))
+                        if res.status == "sat":
+                            p = pairs[i].pattern(res.witness)
+                            witnessed.update(p[:k] for k in range(1, d + 1))
+                            break
                         i += 1
                 if i < len(pairs):
                     stack.append((child, pairs[i:]))
         return frozenset(found)
-
-    def _refuted(self, pair: _Pair, prefix: BoolVec) -> bool:
-        """Whether the prefix's system has no integer point, decided
-        exactly.  The solver answers from the prefix's closure where
-        propagation settles it."""
-        return self.solver.feasible(pair.closure(prefix)).status == "unsat"

@@ -89,8 +89,14 @@ def _tokenize(text):
         while j < n and text[j] not in " \t\r\n();":
             j += 1
         word = text[i:j]
-        if word.lstrip("-").isdigit() and word.lstrip("-"):
-            yield ("int", int(word), line, col)
+        digits = word[1:] if word[:1] == "-" else word
+        if digits.isascii() and digits.isdigit():  # -?[0-9]+
+            try:
+                value = int(word)
+            except ValueError:  # past the interpreter's digit limit
+                raise ParseError(f"numeral of {len(digits)} digits is too "
+                                 "long", line, col) from None
+            yield ("int", value, line, col)
         else:
             yield ("sym", word, line, col)
         col += j - i

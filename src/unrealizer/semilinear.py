@@ -142,23 +142,6 @@ class SemiLinearSet(NamedTuple):
             out.append(linset(base, gens))
         return sls(out)
 
-    def gamma_bounded(self, budget: int) -> frozenset[Vector]:
-        """All points u + sum(l_i * v_i) with every 0 <= l_i <= budget.
-
-        A finite underapproximation of the concretization, used as a testing
-        oracle and as a cheap positive witness source.
-        """
-        pts: set[Vector] = set()
-        for c in self.components:
-            layer = {c.base}
-            for g in c.gens:
-                # each point of the layer plus l*g for l = 0..budget
-                steps = [tuple([l * x for x in g]) for l in range(budget + 1)]
-                layer = {tuple([x + y for x, y in zip(p, s)])
-                         for p in layer for s in steps}
-            pts |= layer
-        return frozenset(pts)
-
 
 def _is_one(a: SemiLinearSet) -> bool:
     """Whether a is ONE = {<0, {}>} of its dimension."""

@@ -6,10 +6,11 @@ solvers, Kleene iteration for Newton's method, the guard-pattern sum for
 `ite`, the one-shot `LessThan`, negation normal form and the DNF
 branches with their ILP systems for the lazy walk in `logic.decide`, and
 the bottom-up facts of an exported Horn script for a check without a
-Horn solver.  The operator symbols the tests write productions with are
-here too, and a solver stand-in that refutes nothing.  The package
-itself never calls them.  pytest does not collect this module (its name
-does not start with ``test_``); the tests import it by name.
+Horn solver.  Bounded concretization of semi-linear values, the
+operator symbols the tests write productions with, and a solver
+stand-in that refutes nothing are here too.  The package itself never
+calls them.  pytest does not collect this module (its name does not
+start with ``test_``); the tests import it by name.
 """
 
 import itertools
@@ -164,6 +165,22 @@ def reachable_values(g, nt, depth, e, max_values=200_000):
 
 
 # --- abstract domains and fixpoints -----------------------------------------
+
+def gamma_bounded(value, budget):
+    """All points u + sum(l_i * v_i) of the value's components <u, V>
+    with every 0 <= l_i <= budget: a finite underapproximation of its
+    concretization."""
+    pts = set()
+    for c in value.components:
+        layer = {c.base}
+        for g in c.gens:
+            # each point of the layer plus l*g for l = 0..budget
+            steps = [tuple([l * x for x in g]) for l in range(budget + 1)]
+            layer = {tuple([x + y for x, y in zip(p, s)])
+                     for p in layer for s in steps}
+        pts |= layer
+    return frozenset(pts)
+
 
 def kleene_solve(sys, max_steps=200):
     """Plain iteration to a fixpoint; diverges on star-requiring systems,

@@ -15,7 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from oracles import abs_less_than, ite_abstract, reachable_values, sls_size
+from oracles import (
+    abs_less_than, gamma_bounded, ite_abstract, reachable_values, sls_size,
+)
+from test_booldom import reference_patterns
 from unrealizer import booldom, cli, clia, ilp, synth
 from unrealizer import grammar as gr
 from unrealizer import semilinear as sl
@@ -140,7 +143,7 @@ def test_04_exact_valuations_on_random_linear_grammars():
         for point in reachable_values(g, g.start, 6, e):
             assert _member(solver, value, point), (g, rows, point)
         # completeness: small-multiplier points have derivations
-        points = sorted(value.gamma_bounded(2))
+        points = sorted(gamma_bounded(value, 2))
         if len(points) > 20:
             points = rng.sample(points, 20)
         derivable = set(reachable_values(g, g.start, 8, e))
@@ -169,7 +172,7 @@ def test_05_semiring_laws_on_random_operands():
         assert a.combine(a) == a
         assert a.combine(sl.ZERO) == a
         # product laws hold up to concretization
-        gb = lambda v: v.gamma_bounded(3)
+        gb = lambda v: gamma_bounded(v, 3)
         assert gb(a.extend(b)) == gb(b.extend(a))
         assert gb(a.extend(b).extend(c)) == gb(a.extend(b.extend(c)))
         assert gb(a.extend(sl.one(dim))) == gb(a)
@@ -298,7 +301,7 @@ def test_08_iteration_bounds_and_fixpoint_stability():
         checked += 1
         delta = _newton_delta(sys, nu)
         for x in names:
-            for point in sorted(delta[x].gamma_bounded(1))[:8]:
+            for point in sorted(gamma_bounded(delta[x], 1))[:8]:
                 assert _member(solver, nu[x], point), (sys, x, point)
 
 
@@ -424,6 +427,27 @@ def test_14_disjunctive_max_realizable_and_checks_scale_linearly():
         res = check_unrealizable(p.grammar, p.spec, _examples(p, rows), solver)
         assert res.verdict == verdict, name
         assert solver.queries <= bound, (name, solver.queries)
+
+
+def test_15_subtraction_guard_matches_the_per_pattern_reference():
+    # S's one component has generators that overlap on both coordinates,
+    # so B's comparison (< S x) takes the prefix search end to end.  S
+    # holds the value of every tree of height <= 8, and B is the union of
+    # the per-pattern references of its two comparisons
+    p = _problem("sub.sy")
+    e = _examples(p, [(1,), (-3,)])
+    res = clia.solve(p.grammar, e)
+    value = res.value("S")
+    assert len(value.components) == 1
+    solver = Solver()
+    assert all(_member(solver, value, v)
+               for v in reachable_values(p.grammar, "S", 8, e))
+    x, zero = sl.singleton((1, -3)), sl.singleton((0, 0))
+    ref = reference_patterns(value, x, solver)
+    ref.update({b: True for b, r in reference_patterns(x, zero, solver).items()
+                if r})
+    assert None not in ref.values()
+    assert res.value("B") == frozenset(b for b, r in ref.items() if r)
 
 
 def test_closures_keep_prefix_checks_out_of_branch_and_bound_at_ten_examples():

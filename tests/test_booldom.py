@@ -5,12 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from oracles import abs_less_than, parse_mask, proj_z
-from unrealizer import booldom, clia
+from oracles import abs_less_than, gamma_bounded, parse_mask, proj_z
+from unrealizer import clia
 from unrealizer import semilinear as sl
 from unrealizer.booldom import (
-    LessThanCache, _Pair, abs_and, abs_not, all_true, bset_str, conj,
-    mask_str, neg,
+    LessThanCache, _difference, _disjoint_patterns, _Pair, abs_and,
+    abs_not, all_true, bset_str, conj, mask_str, neg,
 )
 from unrealizer.frontend import parse_problem
 from unrealizer.grammar import ExampleSet
@@ -93,8 +93,8 @@ def test_abs_less_than_exact_against_bounded_gamma():
         s2 = random_sls(rng, d)
         got = abs_less_than(s1, s2, solver)
         seen = set()
-        for p in s1.gamma_bounded(4):
-            for q in s2.gamma_bounded(4):
+        for p in gamma_bounded(s1, 4):
+            for q in gamma_bounded(s2, 4):
                 seen.add(tuple(a < b for a, b in zip(p, q)))
         # bounded concretization can only underapproximate the true set
         assert seen <= got
@@ -114,8 +114,8 @@ def random_sls(rng, dim):
 
 
 def has_witness(s1, s2, pattern, budget):
-    for p in s1.gamma_bounded(budget):
-        for q in s2.gamma_bounded(budget):
+    for p in gamma_bounded(s1, budget):
+        for q in gamma_bounded(s2, budget):
             if tuple(a < b for a, b in zip(p, q)) == pattern:
                 return True
     return False
@@ -167,11 +167,7 @@ def reference_patterns(s1, s2, solver):
     return out
 
 
-@pytest.mark.parametrize("pair_cap", [booldom._GAMMA_PAIR_CAP, 0])
-def test_prefix_search_matches_all_patterns(monkeypatch, pair_cap):
-    # with a zero cap the witness pass is skipped and every prefix is
-    # checked by the solver
-    monkeypatch.setattr(booldom, "_GAMMA_PAIR_CAP", pair_cap)
+def test_prefix_search_matches_all_patterns():
     rng = random.Random(23)
     decided = 0
     for _ in range(25):
@@ -197,7 +193,7 @@ def test_pair_closure_deeper_than_the_recursion_limit():
     # each False row a0 >= 5
     d = sys.getrecursionlimit() + 50
     c1, c2 = sl.linset((0,) * d, [(1,) * d]), sl.linset((5,) * d)
-    pair = _Pair(c1, c2)
+    pair = _Pair(*_difference(c1, c2), len(c1.gens))
     open_prefix = (True,) * d
     cl = pair.closure(open_prefix)
     assert cl.verdict() is None
@@ -266,7 +262,7 @@ def test_disjoint_pairs_match_every_pattern_decided_by_the_ilp():
         d = rng.randrange(1, 6)
         c1, c2 = random_disjoint_pair(rng, d)
         want = realized(sl.sls([c1]), sl.sls([c2]))
-        assert booldom._disjoint_patterns(c1, c2) == want, (c1, c2)
+        assert _disjoint_patterns(*_difference(c1, c2)) == want, (c1, c2)
 
 
 def test_disjoint_pair_flips_at_exact_thresholds():
@@ -277,7 +273,7 @@ def test_disjoint_pair_flips_at_exact_thresholds():
     c3 = sl.linset((0, 0, -2), [(0, 0, 2)])
     c4, c5 = sl.linset((0,)), sl.linset((0,), [(1,)])
     for a, b in ((c1, c2), (c1, c3), (c4, c5)):
-        assert booldom._disjoint_patterns(a, b) == \
+        assert _disjoint_patterns(*_difference(a, b)) == \
             realized(sl.sls([a]), sl.sls([b])), (a, b)
 
 
@@ -311,7 +307,7 @@ def test_g2_guards_and_points_call_no_solver(monkeypatch):
     (sl.linset((0, 0), [(1, 1), (2, -1)]), sl.linset((1, 1))),
 ])
 def test_overlapping_pair_goes_to_the_prefix_search(c1, c2):
-    assert booldom._disjoint_patterns(c1, c2) is None
+    assert _disjoint_patterns(*_difference(c1, c2)) is None
     solver = CountingSolver()
     cache = LessThanCache(solver)
     got = cache.abs_less_than(sl.sls([c1]), sl.sls([c2]))

@@ -406,6 +406,24 @@ def test_too_deep_nesting_is_usage_error(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("numeral", ["--5", "\u00b2", "-" + "9" * 5000],
+                         ids=["double-minus", "superscript-two", "5000-digits"])
+def test_malformed_numeral_is_usage_error(numeral, tmp_path):
+    # a word is a numeral only as ASCII -?[0-9]+, and one past the
+    # interpreter's digit limit is refused where it is read
+    spec = tmp_path / "numeral.sy"
+    spec.write_text("(set-logic LIA)\n"
+                    "(synth-fun f ((x Int)) Int ((Start Int (x 0))))\n"
+                    f"(constraint (= (f x) {numeral}))\n(check-synth)\n",
+                    encoding="utf-8")
+    out = _run_child("check", str(spec), "--json")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: line 3, col 22: ")
+    assert len(out.stderr.splitlines()) == 1
+    assert "Traceback" not in out.stderr
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--max-rounds", "-1"),
     ("--max-term-size", "0"),

@@ -1,8 +1,8 @@
 import pytest
 
 from oracles import (
-    AND_SYM, DOUBLE_SYM, ITE_SYM, LESSTHAN_SYM, NOT_SYM, ite_abstract,
-    reachable_values,
+    AND_SYM, DOUBLE_SYM, ITE_SYM, LESSTHAN_SYM, NOT_SYM, gamma_bounded,
+    ite_abstract, reachable_values,
 )
 from unrealizer import clia
 from unrealizer import grammar as gr
@@ -234,7 +234,7 @@ def test_solve_bool_only_grammar():
     res = clia.solve(g, e)
     assert res.value("B") == frozenset({(T, F), (F, T)})
     # ite under both patterns: (1,0) and (0,1)
-    assert res.value("Start").gamma_bounded(0) == \
+    assert gamma_bounded(res.value("Start"), 0) == \
         frozenset({(1, 0), (0, 1)})
 
 
@@ -252,7 +252,7 @@ def test_solve_is_complete_for_small_members():
     g, e = _g2(), E12
     res = clia.solve(g, e)
     derivable = set(reachable_values(g, g.start, 8, e))
-    missing = res.value("Start").gamma_bounded(1) - derivable
+    missing = gamma_bounded(res.value("Start"), 1) - derivable
     assert not missing
 
 
@@ -269,5 +269,5 @@ def test_solve_single_example():
     res = clia.solve(_g2(), e)
     # on x=1 alone: doubles give 2k, triples 3k, conditionals mix them
     assert res.value("BExp") == frozenset({(T,), (F,)})
-    pts = res.value("Start").gamma_bounded(2)
+    pts = gamma_bounded(res.value("Start"), 2)
     assert (2,) in pts and (3,) in pts and (0,) in pts

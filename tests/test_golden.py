@@ -25,6 +25,9 @@ MAX3_CEGIS_EXAMPLES = ("x=1,y=0,z=0;x=-1,y=-1,z=0;x=-2,y=-1,z=0;"
                        "x=-1,y=-2,z=0;x=1,y=-1,z=0")
 # negative coordinates, so the outputs hold negative numbers
 G2_EXAMPLES = "x=1;x=-3"
+# sub's guard compares component pairs with overlapping generators, so
+# its LessThan takes the prefix search
+SUB_EXAMPLES = "x=1;x=-3"
 
 CASES = [
     ("check_g1.json", 0, ["check", "g1.sy", "--seed", "0", "--json"]),
@@ -43,6 +46,8 @@ CASES = [
     ("check_examples_max3_cegis5.json", 10,
      ["check-examples", "max3.sy", "--json",
       "--examples", MAX3_CEGIS_EXAMPLES]),
+    ("check_examples_sub.json", 10,
+     ["check-examples", "sub.sy", "--json", "--examples", SUB_EXAMPLES]),
     ("dump_equations_g2.txt", 0,
      ["dump-equations", "g2.sy", "--examples", G2_EXAMPLES]),
     ("export_horn_g2.smt2", 0,

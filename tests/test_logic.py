@@ -5,7 +5,8 @@ import random
 import pytest
 
 from oracles import (
-    Branch, RefutesNothing, branch_system, dnf_branches, free_vars, nnf,
+    Branch, RefutesNothing, branch_system, dnf_branches, free_vars,
+    gamma_bounded, nnf,
 )
 from unrealizer import logic as lg
 from unrealizer import semilinear as sl
@@ -281,7 +282,7 @@ def test_concretize_members_against_gamma():
     for _ in range(15):
         value = _random_value(rng)
         f = lg.concretize(value)
-        pts = value.gamma_bounded(3)
+        pts = gamma_bounded(value, 3)
         for p in sorted(pts)[:5]:
             q = lg.conj(f, lg.atom(lg.lin({"o1": 1}), "=", p[0]),
                         lg.atom(lg.lin({"o2": 1}), "=", p[1]))

@@ -11,6 +11,9 @@ Enumeration reads only the persistent examples, so it reruns only when
 they change: the rounds after an empty result, which differ only in
 their random examples, reuse that result.  The loop is sequential and
 deterministic for a fixed seed.
+
+Each round's examples are the last round's plus one, so a run does once
+what does not depend on them (`_RunState`, which dies with the run).
 """
 
 import json
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 from . import approx, clia, logic, synth
 from .booldom import bset_str
-from .frontend import specialize
+from .frontend import PointSpec, specialize
 from .grammar import ExampleSet, Term
 from .ilp import BudgetExceeded, Solver
 
@@ -42,12 +45,31 @@ class CheckResult:
     stats: dict = field(default_factory=dict)
 
 
-def check_unrealizable(g, spec, e, solver=None, mode="sl"):
+class _RunState:
+    """A run's grammar normalized and stratified once, each example's
+    specification specialized once, and `logic.decide`'s atom rows."""
+
+    def __init__(self):
+        self.compiled, self.atom_rows = clia.Compiled(), {}
+        self.rows, self.ps = (), PointSpec(())
+
+    def specialize(self, spec, e):
+        n = len(self.rows)
+        if e.rows[:n] != self.rows:
+            raise AssertionError("examples must extend the last round's")
+        new = specialize(spec, e, n).formulas
+        self.rows, self.ps = e.rows, PointSpec(self.ps.formulas + new)
+        return self.ps
+
+
+def check_unrealizable(g, spec, e, solver=None, mode="sl", state=None):
     """Exact decision on the examples in ``e`` (semi-linear mode), or a
     sound one-sided answer (predicate-abstraction mode, on one example
-    only: its parity predicates abstract a single output)."""
+    only: its parity predicates abstract a single output).  `run_cegis`
+    passes one `_RunState` to all its rounds."""
     solver = solver if solver is not None else Solver()
-    ps = specialize(spec, e)
+    state = state if state is not None else _RunState()
+    ps = state.specialize(spec, e)
     try:
         if mode == "predabs":
             if e.dimension != 1:
@@ -56,17 +78,17 @@ def check_unrealizable(g, spec, e, solver=None, mode="sl"):
             gamma = approx.concretize(values[g.start],
                                       logic.output_names(e.dimension))
             status, witness = logic.decide(
-                logic.conj(gamma, ps.conjunction()), solver)
+                logic.conj(gamma, ps.conjunction()), solver, state.atom_rows)
             if status == "unsat":
                 return CheckResult("Unrealizable", status, values)
             return CheckResult("Unknown", status, values, witness,
                                "abstraction-sat")
-        result = clia.solve(g, e, solver)
+        result = clia.solve(g, e, solver, compiled=state.compiled)
         stats = {"strata": len(result.strata),
                  "mutual_iterations": {"+".join(k): v for k, v in
                                        result.mutual_iterations.items()}}
         query = logic.build_query(result.values[g.start], ps)
-        status, witness = logic.decide(query, solver)
+        status, witness = logic.decide(query, solver, state.atom_rows)
         if status == "unsat":
             return CheckResult("Unrealizable", status, result.values,
                                stats=stats)
@@ -132,14 +154,15 @@ def run_cegis(problem, seed=0, budgets=None, mode="sl", solver=None):
     e_rand = []
     trace = []
     synth_on = outcome = None  # the last enumeration's examples and result
+    state = _RunState()
 
     for k in range(1, budgets.max_rounds + 1):
         if time.monotonic() > deadline:
             return Verdict("Unknown", reason="budget", examples=e_main,
                            iterations=k - 1, trace=trace)
         rows = tuple(e_main) + tuple(e_rand)
-        check = check_unrealizable(g, spec, ExampleSet(variables, rows),
-                                   solver, mode)
+        e = ExampleSet(variables, rows)
+        check = check_unrealizable(g, spec, e, solver, mode, state)
         rec = _round_record(k, e_main, e_rand, check)
         if check.values is not None:
             rec["start_value"] = _value_str(check.values[g.start])
@@ -149,13 +172,15 @@ def run_cegis(problem, seed=0, budgets=None, mode="sl", solver=None):
                            iterations=k, trace=trace)
 
         # enumeration reads only the persistent examples and is
-        # deterministic: rerun it only when they have changed
+        # deterministic: rerun it only when they have changed, which
+        # clears the random ones, so they are this round's examples
         if tuple(e_main) != synth_on:
+            if e_rand:
+                raise AssertionError("a new persistent example after"
+                                     " random ones")
             synth_on = tuple(e_main)
-            e_synth = ExampleSet(variables, synth_on)
-            outcome = synth.enumerate_solve(
-                g, specialize(spec, e_synth), e_synth,
-                max_size=budgets.max_size)
+            outcome = synth.enumerate_solve(g, state.ps, e,
+                                            max_size=budgets.max_size)
         rec["synth"] = outcome.status
         if outcome.candidate is None:
             row = _draw(rng, variables, set(rows))

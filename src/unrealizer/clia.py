@@ -148,15 +148,29 @@ class SolveResult:
         return self.values[nt]
 
 
-def solve(g, e, solver=None, trace=None):
+class Compiled:
+    """A grammar normalized, and its strata, once for every example set:
+    the strata depend only on the nonterminals each production names."""
+
+    def __init__(self):
+        self.grammar = self.strata = None  # set by the first `solve`
+
+
+def solve(g, e, solver=None, trace=None, compiled=None):
     """Full pipeline: normalize the grammar, build equations, and solve
-    stratum by stratum in dependence order."""
+    stratum by stratum in dependence order.  A caller that solves `g` on
+    many example sets passes one `Compiled()` to every call, so `g` is
+    normalized and stratified once."""
     solver = solver if solver is not None else Solver()
-    sys = build_equations(normalize(g), e)
-    strata = stratify(sys)
+    compiled = compiled if compiled is not None else Compiled()
+    if compiled.grammar is None:
+        compiled.grammar = normalize(g)
+    sys = build_equations(compiled.grammar, e)
+    if compiled.strata is None:
+        compiled.strata = stratify(sys)
     values = {}
-    result = SolveResult(values, strata)
-    for stratum in strata:
+    result = SolveResult(values, compiled.strata)
+    for stratum in compiled.strata:
         sub = substitute(restrict(sys, stratum), values)
         mixed = any(sys.sorts[nt] == BOOL for nt in stratum) or sub.has_ite()
         if mixed:

@@ -415,11 +415,12 @@ def _parse_synth_fun(form):
     return name, tuple(variables), fsort, g
 
 
-def specialize(spec, e):
-    """Substitute each concrete input row, mapping the output slot to o_j."""
+def specialize(spec, e, first=0):
+    """Substitute each concrete input row from the `first`-th on, mapping
+    the output slot of row j to o_(j+1)."""
     formulas = []
-    for j, o in enumerate(logic.output_names(e.dimension)):
-        mapping = {v: e.point(j)[v] for v in e.variables}
+    for row, o in zip(e.rows[first:], logic.output_names(e.dimension)[first:]):
+        mapping = dict(zip(e.variables, row))
         mapping[OUT] = logic.lin(((o, 1),))
         formulas.append(logic.substitute(spec, mapping))
     return PointSpec(tuple(formulas))

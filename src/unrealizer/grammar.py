@@ -292,9 +292,6 @@ class ExampleSet:
             raise GrammarError(f"unbound variable {x!r}") from None
         return tuple([r[i] for r in self.rows])
 
-    def point(self, j: int) -> dict[str, int]:
-        return dict(zip(self.variables, self.rows[j]))
-
 
 def eval_term(t: Term, e: ExampleSet) -> tuple:
     """Componentwise value of a term on every example; Int terms yield an

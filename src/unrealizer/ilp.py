@@ -27,9 +27,10 @@ the equality rows are checked for an integer solution (Hermite normal
 form), which settles lattice gaps outright.  Completeness on unbounded
 polyhedra comes from an a-priori magnitude bound: if an integer solution
 exists at all, one exists inside a computable box.  The search deepens
-its box from |x| <= 16 by squaring up to that bound, so a dive along an
-unbounded ray of the relaxation is cut off early, every search tree is
-finite, and the last box makes "unsat" exact.  Every prefix, partial
+its box from |x| <= 16 by squaring up to that bound (computed only once
+a node past the root needs the box), so a dive along an unbounded ray of
+the relaxation is cut off early, every search tree is finite, and the
+last box makes "unsat" exact.  Every prefix, partial
 conjunction, branch and leaf is decided this one way.
 
 Every sat answer is re-verified by substituting the witness into all
@@ -50,6 +51,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import gt
 from typing import NamedTuple
 
 from .grammar import numeral
@@ -123,12 +126,13 @@ def _magnitude_bound(closure: Closure) -> int:
     return max(1, n) * (max(1, m) * a) ** (2 * m + 1)
 
 
-def _phase1_simplex(rows: list[list[int]], nvars: int) -> list[Fraction] | None:
+def _phase1_simplex(rows: list[list[int]], nvars: int) -> list[int | Fraction] | None:
     """Feasible point of {x >= 0 : Ax = b} or None.
 
     `rows` holds [A | b] with b >= 0 (callers normalize signs).  Artificial
     variables are appended and driven out by minimizing their sum; Bland's
-    rule guarantees termination.
+    rule guarantees termination.  The tableau [A | I | b] is built here,
+    so `rows` is never changed.
 
     The tableau is kept fraction-free (Edmonds; Bareiss 1968): integer rows
     `tab` and `obj` over one positive common denominator `den`, which is the
@@ -137,100 +141,88 @@ def _phase1_simplex(rows: list[list[int]], nvars: int) -> list[Fraction] | None:
     (p * x - tab[i][c] * tab[r][j]) / den, a division that is always exact;
     then den = p.  Every pivot is positive, so signs and the ratio test
     (by cross-multiplication) read as they do on the rational tableau, and
-    the pivot sequence is exactly that of the rational simplex.
+    the pivot sequence is exactly that of the rational simplex.  The point
+    is an int where `den` divides its numerator, a `Fraction` elsewhere.
 
     The tableaux here are wide and sparse, and most pivots have p == den.
-    Such a pivot leaves a row whose entering entry is 0 as it is, and
-    changes any other row only in the columns where the pivot row is
-    nonzero, so `_eliminate` is called on just the rows that change and
-    updates just those columns in place (the pivot row's support,
-    collected once per pivot).  The entries it writes are the ones the
-    full-row update writes, which keeps the rows, Bland's choice of
-    entering column, the ratio test's tie-break and hence the pivot path
-    and the vertex exactly as they are without it.  The tableau is built
-    here, so `rows` is never changed.
+    Such a pivot leaves a row whose entering entry f is 0 as it is, and
+    maps an entry x of any other row to x - f * y / den, where y is the
+    pivot row's entry in that column (exact, as above): x itself where y
+    is 0.  So only the rows with f != 0 are touched, in place, and only
+    on the pivot row's support, collected once per pivot (the scans run in
+    C, by `compress`).  Every entry written is the one the full-row update
+    writes, which keeps Bland's choice of entering column, the ratio
+    test's tie-break and hence the pivot path and the vertex as they are.
     """
     m = len(rows)
     if m == 0:
-        return [Fraction(0)] * nvars
+        return [0] * nvars
     total = nvars + m
     tab = []
     for i, row in enumerate(rows):
-        r = row[:nvars] + [0] * m + [row[nvars]]
-        r[nvars + i] = 1
-        tab.append(r)
-    basis = [nvars + i for i in range(m)]
+        unit = [0] * m
+        unit[i] = 1
+        tab.append(row[:nvars] + unit + row[nvars:])
     # objective row: minimize sum of artificials, expressed over nonbasic columns
-    obj = [0] * (total + 1)
-    for row in rows:
-        for j in range(nvars):
-            obj[j] += row[j]
-        obj[total] += row[nvars]
+    sums = list(map(sum, zip(*rows)))
+    obj = sums[:nvars] + [0] * m + sums[nvars:]
+    basis = list(range(nvars, total))
     den = 1
+    zeros = repeat(0)
+    columns, width, height = range(total), range(total + 1), range(m)
 
     while True:
-        enter = -1
-        for j in range(total):
-            if obj[j] > 0:
-                enter = j
-                break
+        enter = next(compress(columns, map(gt, obj, zeros)), -1)
         if enter < 0:
             break
+        col = [row[enter] for row in tab]
         leave, num, dnm = -1, 0, 1
-        for i in range(m):
-            a = tab[i][enter]
-            if a > 0:
-                # tab[i][total] / a against the best ratio so far, num / dnm
-                lhs, rhs = tab[i][total] * dnm, num * a
-                if leave < 0 or lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave, num, dnm = i, tab[i][total], a
+        for i in compress(height, map(gt, col, zeros)):
+            a = col[i]
+            # tab[i][total] / a against the best ratio so far, num / dnm
+            lhs, rhs = tab[i][total] * dnm, num * a
+            if leave < 0 or lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                leave, num, dnm = i, tab[i][total], a
         if leave < 0:
             # unbounded phase-1 objective cannot happen (bounded below by 0)
             return None
         prow = tab[leave]
-        piv = prow[enter]
-        # when piv == den, only the rows with a nonzero entering entry
-        # change, and only on the pivot row's nonzero columns
-        support = ([(j, y) for j, y in enumerate(prow) if y]
-                   if piv == den else None)
-        for i, row in enumerate(tab):
-            if i != leave and (row[enter] or support is None):
-                tab[i] = _eliminate(row, prow, piv, den, enter, support)
-        if obj[enter] or support is None:
-            obj = _eliminate(obj, prow, piv, den, enter, support)
+        piv = col[leave]
+        if piv == den:
+            support = [(j, prow[j]) for j in compress(width, prow)]
+            col[leave] = 0
+            for i in compress(height, col):
+                row, f = tab[i], col[i]
+                for j, y in support:
+                    row[j] -= f * y // den
+            f = obj[enter]
+            if f:
+                for j, y in support:
+                    obj[j] -= f * y // den
+        else:
+            for i, row in enumerate(tab):
+                if i != leave:
+                    tab[i] = _pivoted(row, prow, piv, den, col[i])
+            obj = _pivoted(obj, prow, piv, den, obj[enter])
         den = piv
         basis[leave] = enter
 
     if obj[total] != 0:
         return None
-    point = [Fraction(0)] * total
+    point = [0] * total
     for i, b in enumerate(basis):
-        point[b] = Fraction(tab[i][total], den)
+        x = tab[i][total]
+        point[b] = x // den if x % den == 0 else Fraction(x, den)
     # artificials may linger in the basis, but only at value zero
-    if any(point[j] != 0 for j in range(nvars, total)):
+    if any(point[nvars:]):
         return None
     return point[:nvars]
 
 
-def _eliminate(row: list[int], prow: list[int], piv: int, den: int,
-               col: int, support: list[tuple[int, int]] | None) -> list[int]:
-    """`row` after the fraction-free pivot on prow[col] = piv; the old
-    common denominator is `den`, the new one `piv`.
-
-    When piv == den, `support` lists the (column, entry) pairs where
-    `prow` is nonzero.  An entry x outside the support then maps to
-    (den * x - f * 0) / den = x, so only the support columns are
-    recomputed, in place: the tableau's rows are built by the simplex
-    and belong to it.  Each maps to x - f * y / den, a division that is
-    exact because den * x - f * y is divisible by den.  Every entry
-    equals the one the full-row update gives, so the simplex walks the
-    same path either way.
-    """
-    f = row[col]
-    if piv == den:
-        for j, y in support:
-            row[j] -= f * y // den
-        return row
+def _pivoted(row: list[int], prow: list[int], piv: int, den: int,
+             f: int) -> list[int]:
+    """`row` (entry f in the pivot column) after the full-row update of a
+    pivot on piv != den in `prow`."""
     if f == 0:
         return [piv * x // den for x in row]
     if den == 1:
@@ -241,25 +233,21 @@ def _eliminate(row: list[int], prow: list[int], piv: int, den: int,
 def _lp_feasible(varnames: list[str], lower: dict[str, int | None],
                  upper: dict[str, int | None],
                  constraints: list[tuple[dict[str, int], str, int]],
-                 ) -> dict[str, Fraction] | None:
+                 ) -> dict[str, int | Fraction] | None:
     """Rational point satisfying constraints and bounds, or None.
 
     A variable with a known lower bound is shifted (x = lo + x', x' >= 0);
     one without is split into a difference of nonnegatives.  Upper bounds
     become rows only when present, so the enormous a-priori box never
-    enters the tableau.
+    enters the tableau.  Each row of [A | b] is written once, with the
+    sign that makes b >= 0.
     """
-    cols: list[tuple[int, int]] = []  # (sign, shift) per column
-    colof: dict[str, list[int]] = {}
+    col: dict[str, int] = {}  # a variable's column; a free one also has col + 1
+    shift: dict[str, int | None] = {}  # its lower bound, None when free
+    ncols = 0
     for v in varnames:
-        lo = lower[v]
-        if lo is not None:
-            colof[v] = [len(cols)]
-            cols.append((1, lo))
-        else:
-            colof[v] = [len(cols), len(cols) + 1]
-            cols.append((1, 0))
-            cols.append((-1, 0))
+        col[v], shift[v] = ncols, lower[v]
+        ncols += 1 if lower[v] is not None else 2
 
     raw = list(constraints)
     for v in varnames:
@@ -267,38 +255,32 @@ def _lp_feasible(varnames: list[str], lower: dict[str, int | None],
             raw.append(({v: 1}, LE, upper[v]))
 
     nslack = sum(1 for _, rel, _ in raw if rel == LE)
-    width = len(cols) + nslack
+    width = ncols + nslack
     rows: list[list[int]] = []
-    slack = len(cols)
+    slack = ncols
     for coeffs, rel, rhs in raw:
-        row = [0] * (width + 1)
         b = rhs
         for v, k in coeffs.items():
-            for idx in colof[v]:
-                sign, shift = cols[idx]
-                row[idx] += k * sign
-                if sign == 1:
-                    b -= k * shift
+            if shift[v]:
+                b -= k * shift[v]
+        s = -1 if b < 0 else 1
+        row = [0] * width
+        for v, k in coeffs.items():
+            j = col[v]
+            row[j] += s * k
+            if shift[v] is None:
+                row[j + 1] -= s * k
         if rel == LE:
-            row[slack] = 1
+            row[slack] = s
             slack += 1
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-        row[width] = b
+        row.append(s * b)
         rows.append(row)
 
     point = _phase1_simplex(rows, width)
     if point is None:
         return None
-    out: dict[str, Fraction] = {}
-    for v in varnames:
-        idxs = colof[v]
-        if len(idxs) == 1:
-            out[v] = point[idxs[0]] + cols[idxs[0]][1]
-        else:
-            out[v] = point[idxs[0]] - point[idxs[1]]
-    return out
+    return {v: point[col[v]] + shift[v] if shift[v] is not None
+            else point[col[v]] - point[col[v] + 1] for v in varnames}
 
 
 def presolve_row(c: Constraint) -> tuple[dict[str, int], str, int] | None:
@@ -552,7 +534,10 @@ def _branch_and_bound(closure: Closure, node_budget: int) -> Feasibility:
     magnitude bound) for R = 16, 256, 65536, ... (each R the square of
     the last), and the next pass runs only if this one skipped a node
     and found no point.  All passes share `node_budget`; a search that
-    needs more nodes raises BudgetExceeded.
+    needs more nodes raises BudgetExceeded.  The root's bounds are 0 or
+    open, so it lies in every box, and the magnitude bound (a power of
+    degree 2m + 1) is computed only for the first node past the root: a
+    search decided at its root never computes it.
 
     A pass is finite: every branch on v moves one of v's bounds inward
     by at least 1, a bound whose other side is open cannot pass the box,
@@ -568,15 +553,14 @@ def _branch_and_bound(closure: Closure, node_budget: int) -> Feasibility:
     varnames = [v for v, _ in variables]
     constraints = [r for r in closure.presolved if r[0]]
 
-    bound = _magnitude_bound(closure)
     lower0: dict[str, int | None] = {v: (0 if nonneg else None)
                                      for v, nonneg in variables}
     upper0: dict[str, int | None] = {v: None for v in varnames}
 
     nodes = 0
     radius = 16
+    bound = None  # computed for the first node past the root
     while True:
-        box = min(radius, bound)
         clipped = False
         stack = [(lower0, upper0)]
         while stack:
@@ -584,11 +568,16 @@ def _branch_and_bound(closure: Closure, node_budget: int) -> Feasibility:
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceeded(f"ILP node budget {node_budget} exhausted")
-            if any((-box if lower[v] is None else lower[v])
-                   > (box if upper[v] is None else upper[v])
-                   for v in varnames):
-                clipped = True
-                continue
+            # the root's bounds are 0 or open, so it lies in every box
+            if lower is not lower0 or upper is not upper0:
+                if bound is None:
+                    bound = _magnitude_bound(closure)
+                box = min(radius, bound)
+                if any((-box if lower[v] is None else lower[v])
+                       > (box if upper[v] is None else upper[v])
+                       for v in varnames):
+                    clipped = True
+                    continue
             point = _lp_feasible(varnames, lower, upper, constraints)
             if point is None:
                 continue
@@ -611,7 +600,7 @@ def _branch_and_bound(closure: Closure, node_budget: int) -> Feasibility:
             lo[frac_var] = floor + 1 if lower[frac_var] is None else max(lower[frac_var], floor + 1)
             stack.append((lower, up))
             stack.append((lo, upper))
-        if not clipped or box == bound:
+        if not clipped or radius >= bound:  # clipping computed the bound
             return Feasibility("unsat", None, nodes)
         radius *= radius
 

@@ -227,11 +227,15 @@ def _prepare(f, negate, renaming, fresh):
     op = f.op
     if op == "atom":
         lhs, rel, rhs = f.atom
-        if renaming and not renaming.keys().isdisjoint(
-                lhs.variables() | rhs.variables()):
+        renamed = renaming and not renaming.keys().isdisjoint(
+            lhs.variables() | rhs.variables())
+        if renamed:
             lhs, rhs = _rename(lhs, renaming), _rename(rhs, renaming)
-        return _negated_atom(lhs, rel, rhs) if negate \
-            else _positive_atom(lhs, rel, rhs)
+        if negate:
+            return _negated_atom(lhs, rel, rhs)
+        if not renamed and rel in ("=", "<", "<="):
+            return f
+        return _positive_atom(lhs, rel, rhs)
     if op == "and" or op == "or":
         sub = [_prepare(g, negate, renaming, fresh) for g in f.args]
         return disj(*sub) if (op == "and") == negate else conj(*sub)
@@ -340,16 +344,17 @@ def _extend(closure, atoms, bound, rows):
     return closure.add(cons, variables)
 
 
-def decide(f, solver):
+def decide(f, solver, rows=None):
     """Return ('sat', witness) or ('unsat', None); may raise BudgetExceeded.
 
     The witness is that of the first sat branch in DNF order.
-    Each atom's row is built once per call and shared by the partial
-    conjunctions and the branches that contain it.  The solver decides
-    each branch's closure where propagation settles it and by branch and
-    bound on the full system otherwise.
+    Each atom's row is built once and shared by the partial conjunctions
+    and the branches that contain it: once per call, or once for every
+    call given the same `rows` dict (an atom's row depends on the atom
+    alone).  The solver decides each branch's closure where propagation
+    settles it and by branch and bound on the full system otherwise.
     """
-    for closure in _branches(f, solver, {}):
+    for closure in _branches(f, solver, {} if rows is None else rows):
         res = solver.feasible(closure)
         if res.status == "sat":
             return "sat", dict(res.witness)

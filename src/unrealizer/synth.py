@@ -27,15 +27,19 @@ class SynthOutcome:
     terms_built: int = 0
 
 
-def _compositions(total, k):
-    """All k-tuples of positive ints summing to total, lexicographic."""
-    if k == 0:
+def _splits(total, sizes):
+    """The tuples whose i-th entry is in `sizes[i]` (ascending) and that
+    sum to `total`, in lexicographic order: the compositions of `total`
+    whose parts all have a non-empty pool, in the order they come."""
+    if not sizes:
         if total == 0:
             yield ()
         return
-    for first in range(1, total - k + 2):
-        for rest in _compositions(total - first, k - 1):
-            yield (first,) + rest
+    for s in sizes[0]:
+        if s > total:
+            return
+        for rest in _splits(total - s, sizes[1:]):
+            yield (s,) + rest
 
 
 def enumerate_solve(g, ps, e, max_size=20, max_terms=200_000):
@@ -73,16 +77,17 @@ def enumerate_solve(g, ps, e, max_size=20, max_terms=200_000):
 
     for size in range(1, max_size + 1):
         fresh = []
+        # the sizes with terms, ascending; a split of this level sums to
+        # less than `size`, so the terms it adds take part in none
+        sizes = {n: tuple(pool) for n, pool in by_size.items()}
         for p in concrete:
             own = 1 + sum(isinstance(a, Term) for a in p.args)
             nt_args = [a for a in p.args if isinstance(a, str)]
             if own > size or (not nt_args and own != size):
                 continue
             sigs = inline_sigs[id(p)]
-            for split in _compositions(size - own, len(nt_args)):
-                pools = [by_size[a].get(s, ()) for a, s in zip(nt_args, split)]
-                if any(not pool for pool in pools):
-                    continue
+            for split in _splits(size - own, [sizes[a] for a in nt_args]):
+                pools = [by_size[a][s] for a, s in zip(nt_args, split)]
                 for combo in itertools.product(*pools):
                     built += 1
                     if built > max_terms:

@@ -2,7 +2,8 @@
 
 Each one is the plain, eager form of something the package computes
 another way: bounded tree and value enumeration for the equation
-solvers, Kleene iteration for Newton's method, the guard-pattern sum for
+solvers, every size split for the enumerator's pool-aware split walk,
+Kleene iteration for Newton's method, the guard-pattern sum for
 `ite`, the one-shot `LessThan`, negation normal form and the DNF
 branches with their ILP systems for the lazy walk in `logic.decide`, and
 the bottom-up facts of an exported Horn script for a check without a
@@ -50,6 +51,18 @@ def term_size(t):
 def sls_size(v):
     """Sum over components of (generator count + 1)."""
     return sum(len(c.gens) + 1 for c in v.components)
+
+
+def compositions(total, k):
+    """All k-tuples of positive ints summing to total, lexicographic: the
+    size splits the enumerator once walked in full."""
+    if k == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(1, total - k + 2):
+        for rest in compositions(total - first, k - 1):
+            yield (first,) + rest
 
 
 def example_set(points, variables=None):

@@ -1,9 +1,10 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from unrealizer import cegis, synth
+from unrealizer import cegis, clia, frontend, synth
 from unrealizer import grammar as gr
 from unrealizer.cegis import Budgets, Verdict, check_unrealizable, run_cegis
 from unrealizer.frontend import parse_problem, specialize
@@ -227,3 +228,79 @@ def test_cegis_enumerates_once_per_persistent_example_list(monkeypatch):
         fresh = enumerate_solve(p.grammar, specialize(p.spec, e), e,
                                 max_size=budgets.max_size)
         assert rec["synth"] == fresh.status
+
+
+# rounds past which a problem's semi-linear solve takes seconds per
+# round: max3's `ite` chain past 5 examples and sub's subtraction past 2
+# (ROADMAP items 2 and 3); every other problem runs the full 8
+ROUND_CAP = {"max3.sy": 5, "sub.sy": 2}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in
+                                        PROBLEMS.glob("*.sy")))
+def test_each_round_equals_a_fresh_check_on_its_examples(name):
+    # a run compiles the grammar and specializes each example once, and
+    # shares one atom-row memo across its rounds; every round must still
+    # read what a fresh check on that round's examples reads
+    p = _problem(name)
+    budgets = Budgets(max_rounds=ROUND_CAP.get(name, 8))
+    for seed in range(4):
+        try:
+            v = run_cegis(p, seed=seed, budgets=budgets)
+        except gr.GrammarError as err:  # no exact abstraction in sl
+            with pytest.raises(gr.GrammarError, match=re.escape(str(err))):
+                check_unrealizable(p.grammar, p.spec,
+                                   _examples(p, [(0,) * len(p.variables)]))
+            continue
+        last = ()
+        for rec in v.trace:
+            rows = tuple(tuple(r) for r in rec["examples"] + rec["random"])
+            assert rows[:-1] == last, (seed, rec["round"])
+            last = rows
+            fresh = check_unrealizable(p.grammar, p.spec, _examples(p, rows))
+            start = None if fresh.values is None else \
+                cegis._value_str(fresh.values[p.grammar.start])
+            assert (rec["check"], rec["query"], rec["start_value"]) == \
+                (fresh.verdict, fresh.query, start), (seed, rec["round"])
+
+
+def test_a_run_normalizes_stratifies_and_specializes_once(monkeypatch):
+    # sixteen rounds of gconst: one normalization and one stratification
+    # for the run, and each example specialized in the round it appears
+    calls = {"normalize": 0, "stratify": 0}
+    specialized = []
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(clia, "normalize")
+    counting(clia, "stratify")
+    specialize = frontend.specialize
+
+    def recording(spec, e, first=0):
+        specialized.extend(e.rows[first:])
+        return specialize(spec, e, first)
+
+    monkeypatch.setattr(cegis, "specialize", recording)
+    v = run_cegis(_problem("gconst.sy"), seed=0,
+                  budgets=Budgets(max_rounds=16))
+    assert v.iterations == 16
+    assert calls == {"normalize": 1, "stratify": 1}
+    last = v.trace[-1]
+    rows = [tuple(r) for r in last["examples"] + last["random"]]
+    assert specialized == rows and len(rows) == 16
+
+
+def test_round_examples_that_do_not_extend_the_last_are_refused():
+    p = _problem("gconst.sy")
+    state = cegis._RunState()
+    check_unrealizable(p.grammar, p.spec, _examples(p, [(1,), (2,)]),
+                       state=state)
+    with pytest.raises(AssertionError):
+        check_unrealizable(p.grammar, p.spec, _examples(p, [(2,), (1,)]),
+                           state=state)

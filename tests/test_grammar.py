@@ -237,7 +237,7 @@ def test_example_set_basics():
     assert e.dimension == 2
     assert e.var_vector("x") == (1, 2)
     assert e.var_vector("y") == (5, 6)
-    assert e.point(1) == {"x": 2, "y": 6}
+    assert e.rows[1] == (2, 6)
     with pytest.raises(gr.GrammarError):
         example_set([])
 

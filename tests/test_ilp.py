@@ -162,6 +162,41 @@ def test_ray_dive_system_is_sat_within_a_small_budget():
     assert got.status == "sat"
 
 
+def test_a_search_decided_at_its_root_never_computes_the_magnitude_bound(
+        monkeypatch):
+    # the root's bounds are 0 or open, inside every box, so the bound is
+    # computed once, for the first node past the root, and never for a
+    # one-node search: an integral vertex, an infeasible relaxation, or
+    # a lattice gap
+    computed = []
+    magnitude_bound = ilp._magnitude_bound
+
+    def counting(closure):
+        computed.append(closure)
+        return magnitude_bound(closure)
+
+    monkeypatch.setattr(ilp, "_magnitude_bound", counting)
+    free = {"x": False, "y": False, "z": False}
+    one_node = [
+        ({"x": True, "y": True}, [ilp.constraint({"x": 1, "y": 1}, "<=", 3),
+                                  ilp.constraint({"x": 1, "y": -1}, "=", 1)],
+         "sat"),
+        ({"x": True, "y": True}, [ilp.constraint({"x": 1, "y": 1}, "<=", 3),
+                                  ilp.constraint({"x": 1, "y": 1}, "<", 0)],
+         "unsat"),
+        (free, [ilp.constraint({"x": 1, "y": -2}, "=", 0),
+                ilp.constraint({"x": 1, "z": -2}, "=", 1)], "unsat"),
+    ]
+    for variables, rows, status in one_node:
+        got = ilp.Solver().feasible(ilp.system(variables, rows))
+        assert (got.status, got.nodes) == (status, 1)
+    assert computed == []
+    # a second node needs the box, once for the whole search
+    got = solve({"x": True, "y": True},
+                [ilp.constraint({"x": 2, "y": 3}, "=", 7)])
+    assert got.status == "sat" and got.nodes > 1 and len(computed) == 1
+
+
 @pytest.mark.xfail(raises=ilp.BudgetExceeded, strict=True,
                    reason="branch and bound follows an unbounded LP ray")
 def test_lattice_empty_system_with_an_unbounded_relaxation_is_unsat():
@@ -247,9 +282,10 @@ def test_equalities_integral_is_sound():
             assert ilp._equalities_integral(names, eqs)
 
 
-def reference_phase1(rows, nvars):
+def reference_phase1(rows, nvars, pivots=None):
     """The rational Bland phase-1 simplex over Fraction that the integer
-    one replaced, kept as the oracle for its pivot sequence."""
+    one replaced, kept as the oracle for its pivot sequence; each pivot's
+    (row, column) is appended to `pivots` when one is given."""
     m = len(rows)
     if m == 0:
         return [Fraction(0)] * nvars
@@ -279,6 +315,8 @@ def reference_phase1(rows, nvars):
                     best, leave = ratio, i
         if leave < 0:
             return None
+        if pivots is not None:
+            pivots.append((leave, enter))
         piv = tab[leave][enter]
         tab[leave] = [x / piv for x in tab[leave]]
         for i in range(m):
@@ -318,20 +356,23 @@ def test_integer_pivoting_walks_the_rational_pivot_sequence():
 
 
 def test_support_only_pivots_walk_the_rational_pivot_sequence(monkeypatch):
-    # wide, mostly-zero tableaux like the ones CEGIS builds; eliminations
-    # take both the support-only update (piv == den) and the full-row
-    # one, and must land on the rational simplex's vertex either way
-    branches = {"support": 0, "full": 0}
-    eliminate = ilp._eliminate
+    # wide, mostly-zero tableaux like the ones CEGIS builds; pivots take
+    # both the in-place support update (piv == den) and the full-row one
+    # (`_pivoted`, called once per other row and once for the objective),
+    # and must land on the rational simplex's vertex either way.  The two
+    # simplexes pivot alike, so the support pivots are the reference's
+    # pivots less the full-row ones.
+    calls = []
+    pivoted = ilp._pivoted
 
-    def counting(row, prow, piv, den, col, support):
-        if row[col]:
-            branches["support" if piv == den else "full"] += 1
-        return eliminate(row, prow, piv, den, col, support)
+    def counting(row, prow, piv, den, f):
+        calls.append(piv)
+        return pivoted(row, prow, piv, den, f)
 
-    monkeypatch.setattr(ilp, "_eliminate", counting)
+    monkeypatch.setattr(ilp, "_pivoted", counting)
     rng = random.Random(4051)
     feasible_seen = 0
+    branches = {"support": 0, "full": 0}
     for _ in range(150):
         m, n = rng.randint(1, 12), rng.randint(1, 16)
         rows = []
@@ -339,10 +380,16 @@ def test_support_only_pivots_walk_the_rational_pivot_sequence(monkeypatch):
             row = [rng.randint(-4, 4) if rng.random() < 0.3 else 0
                    for _ in range(n)]
             rows.append(row + [rng.choice((0, rng.randint(0, 9)))])
-        want = reference_phase1(rows, n)
+        pivots = []
+        want = reference_phase1(rows, n, pivots)
+        calls.clear()
         assert ilp._phase1_simplex([list(r) for r in rows], n) == want
+        full, rest = divmod(len(calls), m)
+        assert rest == 0
+        branches["full"] += full
+        branches["support"] += len(pivots) - full
         feasible_seen += want is not None
-    assert branches["support"] > 0 and branches["full"] > 0
+    assert branches["support"] > 0 and branches["full"] > 0, branches
     assert 20 < feasible_seen < 130
 
 

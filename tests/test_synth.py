@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from oracles import ITE_SYM, LESSTHAN_SYM, reachable_values, term_size
+from oracles import (
+    ITE_SYM, LESSTHAN_SYM, compositions, reachable_values, term_size,
+)
 from unrealizer import grammar as gr
 from unrealizer import logic as lg
 from unrealizer import synth
@@ -211,3 +213,20 @@ def test_verify_sampling_cannot_prove_validity():
     status, _ = verify(t, spec, ("x",), path_cap=8, samples=50,
                        rng=random.Random(2))
     assert status == "valid-unknown"
+
+
+def test_split_walk_is_the_compositions_with_every_pool_non_empty():
+    # the enumerator walks only the size splits whose pools all hold
+    # terms, in the order it walked every composition before
+    rng = random.Random(2719)
+    yielded = 0
+    for _ in range(400):
+        k = rng.randint(0, 4)
+        total = rng.randint(0, 14)
+        sizes = [tuple(sorted(rng.sample(range(1, 15), rng.randint(0, 10))))
+                 for _ in range(k)]
+        want = [c for c in compositions(total, k)
+                if all(s in pool for s, pool in zip(c, sizes))]
+        assert list(synth._splits(total, sizes)) == want, (total, sizes)
+        yielded += len(want)
+    assert yielded > 300

@@ -14,6 +14,8 @@ deterministic for a fixed seed.
 
 Each round's examples are the last round's plus one, so a run does once
 what does not depend on them (`_RunState`, which dies with the run).
+A round reads only whether its check is sat, never the check's witness,
+so it asks the solver for the status alone.
 """
 
 import json
@@ -62,11 +64,13 @@ class _RunState:
         return self.ps
 
 
-def check_unrealizable(g, spec, e, solver=None, mode="sl", state=None):
+def check_unrealizable(g, spec, e, solver=None, mode="sl", state=None,
+                       witness=True):
     """Exact decision on the examples in ``e`` (semi-linear mode), or a
     sound one-sided answer (predicate-abstraction mode, on one example
     only: its parity predicates abstract a single output).  `run_cegis`
-    passes one `_RunState` to all its rounds."""
+    passes one `_RunState` to all its rounds, and `witness=False`: the
+    result of a sat check then holds no witness."""
     solver = solver if solver is not None else Solver()
     state = state if state is not None else _RunState()
     ps = state.specialize(spec, e)
@@ -77,22 +81,24 @@ def check_unrealizable(g, spec, e, solver=None, mode="sl", state=None):
             values = approx.predabs_solve(g, e)
             gamma = approx.concretize(values[g.start],
                                       logic.output_names(e.dimension))
-            status, witness = logic.decide(
-                logic.conj(gamma, ps.conjunction()), solver, state.atom_rows)
+            status, model = logic.decide(
+                logic.conj(gamma, ps.conjunction()), solver, state.atom_rows,
+                witness)
             if status == "unsat":
                 return CheckResult("Unrealizable", status, values)
-            return CheckResult("Unknown", status, values, witness,
+            return CheckResult("Unknown", status, values, model,
                                "abstraction-sat")
         result = clia.solve(g, e, solver, compiled=state.compiled)
         stats = {"strata": len(result.strata),
                  "mutual_iterations": {"+".join(k): v for k, v in
                                        result.mutual_iterations.items()}}
         query = logic.build_query(result.values[g.start], ps)
-        status, witness = logic.decide(query, solver, state.atom_rows)
+        status, model = logic.decide(query, solver, state.atom_rows,
+                                     witness)
         if status == "unsat":
             return CheckResult("Unrealizable", status, result.values,
                                stats=stats)
-        return CheckResult("Realizable", status, result.values, witness,
+        return CheckResult("Realizable", status, result.values, model,
                            stats=stats)
     except BudgetExceeded:
         return CheckResult("Unknown", reason="ilp-budget")
@@ -162,7 +168,8 @@ def run_cegis(problem, seed=0, budgets=None, mode="sl", solver=None):
                            iterations=k - 1, trace=trace)
         rows = tuple(e_main) + tuple(e_rand)
         e = ExampleSet(variables, rows)
-        check = check_unrealizable(g, spec, e, solver, mode, state)
+        check = check_unrealizable(g, spec, e, solver, mode, state,
+                                   witness=False)
         rec = _round_record(k, e_main, e_rand, check)
         if check.values is not None:
             rec["start_value"] = _value_str(check.values[g.start])

@@ -17,21 +17,28 @@ system would get from scratch: the prefix searches of `booldom` and
 propagation decides, and only the systems it leaves open are counted,
 exported and searched.
 
-Every other system goes to branch and bound on its normalized rows in
-the order they were taken in, over its variables sorted by name, not on
-the reduced rows, so its LP path, vertex and witness are those of the
-full system.  The LP relaxations are solved with a phase-1 simplex over
-Python ints (fraction-free Bareiss pivoting, Bland's rule), and
-integrality is recovered by branch and bound.  Before the first branch,
-the equality rows are checked for an integer solution (Hermite normal
-form), which settles lattice gaps outright.  Completeness on unbounded
+A caller that reads only sat/unsat (a CEGIS round's check, a partial
+conjunction of `logic`, `Solver.member`) has an open system decided by
+exact elimination first: an equality with a unit coefficient on a
+variable no other row mentions is solved for that variable, whose
+bounds become rows on the rest (column-singleton substitution, same
+reference).  A system with no row left is decided there, with 0 nodes.
+
+Every other system, and every one whose witness is read, goes to branch
+and bound on its normalized rows in the order they were taken in, over
+its variables sorted by name, not on the reduced rows, so its LP path,
+vertex and witness are those of the full system.  The LP relaxations
+are solved with a phase-1 simplex over Python ints (fraction-free
+Bareiss pivoting, Bland's rule), and integrality is recovered by branch
+and bound.  Before the first branch, the equality rows are checked for
+an integer solution (Hermite normal form), which settles lattice gaps
+outright.  Completeness on unbounded
 polyhedra comes from an a-priori magnitude bound: if an integer solution
 exists at all, one exists inside a computable box.  The search deepens
 its box from |x| <= 16 by squaring up to that bound (computed only once
 a node past the root needs the box), so a dive along an unbounded ray of
 the relaxation is cut off early, every search tree is finite, and the
-last box makes "unsat" exact.  Every prefix, partial
-conjunction, branch and leaf is decided this one way.
+last box makes "unsat" exact.
 
 Every sat answer is re-verified by substituting the witness into all
 constraints; a failed recheck raises, it is never reported as a result.
@@ -483,6 +490,77 @@ def system(variables: dict[str, bool],
     return Closure().add(constraints, variables.items())
 
 
+def _eliminate(closure: Closure) -> Feasibility | None:
+    """Status of an open closure by exact elimination, or None when a row
+    is left (column-singleton substitution; Andersen & Andersen 1995).
+
+    An equality row with a variable v of coefficient +-1 that no other
+    pending row mentions is dropped, and v = base - rest is kept for back
+    substitution.  v is then an integer affine function of the other
+    variables, so the system without the row, and with v's bounds written
+    as rows on `rest`, has exactly the integer points of the original,
+    each extended by one value of v.  Such a row on one variable tightens
+    its bound, rounded inward as `Closure.add` rounds, and crossed bounds
+    are "unsat".  A row on two or more variables is never dropped, so it
+    leaves the system open, as does a pending inequality.  When no row is
+    left, every other variable takes its lower bound, else its upper, else
+    0, and the eliminated ones follow in reverse order; the point is
+    rechecked against every row and only the status is returned.
+    """
+    rows = list(closure.pending)
+    if any(rel != EQ for _, rel, _ in rows):
+        return None
+    uses: dict[str, int] = {}
+    for coeffs, _, _ in rows:
+        for v in coeffs:
+            uses[v] = uses.get(v, 0) + 1
+    lower, upper = dict(closure.lower), dict(closure.upper)
+    solved = []  # (v, base, rest): v = base - sum(k * w for w, k in rest)
+    i = 0
+    while i < len(rows):
+        coeffs, _, rhs = rows[i]
+        v = next((v for v, k in coeffs.items()
+                  if uses[v] == 1 and (k == 1 or k == -1)), None)
+        if v is None:
+            i += 1
+            continue
+        del rows[i]
+        for w in coeffs:
+            uses[w] -= 1
+        a = coeffs[v]
+        rest = {w: a * k for w, k in coeffs.items() if w != v}
+        base = a * rhs
+        solved.append((v, base, rest))
+        # v >= lo is rest <= base - lo; v <= hi is -rest <= hi - base
+        for s, b in ((1, lower[v]), (-1, upper[v])):
+            if b is None:
+                continue
+            if len(rest) > 1:
+                return None
+            ((w, k),) = rest.items()
+            k, b = s * k, s * (base - b)
+            if k > 0:
+                hi = b // k
+                if upper[w] is None or hi < upper[w]:
+                    upper[w] = hi
+            else:
+                lo = -(b // -k)
+                if lower[w] is None or lo > lower[w]:
+                    lower[w] = lo
+            if lower[w] is not None and upper[w] is not None \
+                    and lower[w] > upper[w]:
+                return Feasibility("unsat", None, 0)
+        i = 0  # a row before this one may have lost its last rival
+    if rows:
+        return None
+    point = {v: lo if lo is not None else upper[v] if upper[v] is not None
+             else 0 for v, lo in lower.items()}
+    for v, base, rest in reversed(solved):
+        point[v] = base - sum(k * point[w] for w, k in rest.items())
+    _check_witness(closure.variables.items(), closure.constraints, point)
+    return Feasibility("sat", None, 0)
+
+
 def _equalities_integral(varnames: list[str],
                          constraints: list[tuple[dict[str, int], str, int]],
                          ) -> bool:
@@ -613,18 +691,23 @@ class Solver:
         self.export_dir = export_dir
         self.queries = 0
 
-    def feasible(self, closure: Closure) -> Feasibility:
+    def feasible(self, closure: Closure, witness: bool = True) -> Feasibility:
         """Exact integer feasibility of the system `closure` holds: its
         propagation, then branch and bound on the LP relaxation, within
         the solver's node budget; an exhausted budget raises
         BudgetExceeded.  Every prefix, partial conjunction, branch and
-        leaf of the searches in `booldom` and `logic` asks this one
-        question, of a closure extended row by row from its parent's.
+        leaf of the searches in `booldom` and `logic` asks this question,
+        of a closure extended row by row from its parent's.
 
         A system propagation decides (refuted rows, or every variable
         fixed to one integer point) is answered from the closure with 0
         nodes; only the systems it leaves open are counted in `queries`,
-        exported and sent to `_branch_and_bound`.
+        exported and searched.  A caller that reads only the status asks
+        with `witness=False`: an open system is then decided by
+        `_eliminate` where it leaves no row, as "unsat" or as "sat" with
+        no witness and 0 nodes, and by `_branch_and_bound` otherwise.  With
+        a witness, it always goes to `_branch_and_bound`, whose LP vertex
+        is the full system's.
         """
         res = closure.verdict()
         if res is not None:
@@ -632,6 +715,10 @@ class Solver:
         self.queries += 1
         if self.export_dir is not None:
             self._export(closure)
+        if not witness:
+            res = _eliminate(closure)
+            if res is not None:
+                return res
         return _branch_and_bound(closure, self.node_budget)
 
     def member(self, point: tuple[int, ...], ls) -> bool:
@@ -643,7 +730,8 @@ class Solver:
         every coordinate.  The one-variable system that says the same
         would be decided by its closure, never counted, exported or
         searched, so no answer or count depends on which decides it.
-        More generators make a system for `feasible`.
+        More generators make a system for `feasible`, asked for its
+        status only.
         """
         if len(point) != len(ls.base):
             raise ValueError("dimension mismatch")
@@ -660,7 +748,8 @@ class Solver:
         for i, d in enumerate(diff):
             cons.append(constraint({f"l{j}": g[i] for j, g in enumerate(ls.gens)}, EQ, d))
         nonneg = {f"l{j}": True for j in range(len(ls.gens))}
-        return self.feasible(system(nonneg, cons)).status == "sat"
+        return self.feasible(system(nonneg, cons), witness=False).status \
+            == "sat"
 
     def _export(self, closure: Closure) -> None:
         import os

@@ -12,7 +12,9 @@ Each partial conjunction and branch carries its system as an
 `ilp.Closure` (exact bound propagation), its parent's extended by the
 atoms it added; propagation is monotone, so that is the closure of its
 whole system.  The solver answers from it where propagation settles the
-system; only the ones left open reach branch and bound.
+system.  A partial conjunction, and a branch whose caller reads no
+witness, is asked for its status only, so exact elimination settles it
+where it can; the rest reach branch and bound.
 """
 
 import itertools
@@ -276,9 +278,9 @@ def _branches(f, solver, rows):
     at a disjunction whenever it gained atoms since its last check: its
     closure is extended by the new atoms' rows (the closure of a parent
     plus rows is the closure of the whole conjunction, so nothing is
-    propagated twice), and one that `Solver.feasible` decides unsat, from
-    the closure or by exact branch and bound as for a branch, is dropped
-    with every branch extending it.  A yielded closure holds all of its
+    propagated twice), and one that `Solver.feasible` decides unsat is
+    dropped with every branch extending it.  Only that status is read, so
+    the check asks for no witness.  A yielded closure holds all of its
     branch's atoms and variables, so it is the branch's system: a row per
     atom, over the variables of every atom (those whose coefficients
     cancel too) and the bound ones, nonneg where their quantifier says
@@ -303,7 +305,8 @@ def _branches(f, solver, rows):
                 if atoms:
                     closure = _extend(closure, atoms, bound, rows)
                     atoms = bound = ()
-                    if solver.feasible(closure).status == "unsat":
+                    if solver.feasible(closure, witness=False).status \
+                            == "unsat":
                         break
                 for h in reversed(g.args):
                     stack.append(((h, todo), closure, atoms, bound))
@@ -344,20 +347,23 @@ def _extend(closure, atoms, bound, rows):
     return closure.add(cons, variables)
 
 
-def decide(f, solver, rows=None):
+def decide(f, solver, rows=None, witness=True):
     """Return ('sat', witness) or ('unsat', None); may raise BudgetExceeded.
 
-    The witness is that of the first sat branch in DNF order.
+    The witness is that of the first sat branch in DNF order; with
+    `witness=False` the answer is ('sat', None), and each branch is asked
+    for its status only.
     Each atom's row is built once and shared by the partial conjunctions
     and the branches that contain it: once per call, or once for every
     call given the same `rows` dict (an atom's row depends on the atom
     alone).  The solver decides each branch's closure where propagation
-    settles it and by branch and bound on the full system otherwise.
+    settles it, by elimination where only the status is asked and no row
+    is left, and by branch and bound on the full system otherwise.
     """
     for closure in _branches(f, solver, {} if rows is None else rows):
-        res = solver.feasible(closure)
+        res = solver.feasible(closure, witness=witness)
         if res.status == "sat":
-            return "sat", dict(res.witness)
+            return "sat", dict(res.witness) if witness else None
     return "unsat", None
 
 
@@ -368,20 +374,25 @@ def output_names(dim):
 
 
 def concretize(value, names=None):
-    """Formula over the output coordinates whose models are the set's points."""
+    """Formula over the output coordinates whose models are the set's points:
+    per component, exists l1..lk >= 0 with o_j = base_j + sum_i l_i g_ij.
+    Each side is built in `lin`'s canonical form (coefficients sorted by
+    name, zeros dropped), the multipliers sorted once per component."""
     if names is None:
         if value.dim is None:
             return FALSE
         names = output_names(value.dim)
+    outs = [LinTerm(((name, 1),)) for name in names]
     parts = []
     for comp in value.components:
         gens = tuple(comp.gens)
         lams = tuple([f"l{i + 1}" for i in range(len(gens))])
+        by_name = sorted(zip(lams, gens))  # l10 sorts before l2
         eqs = []
-        for j, name in enumerate(names):
-            rhs = lin({lams[i]: g[j] for i, g in enumerate(gens)},
-                      comp.base[j])
-            eqs.append(atom(lin(((name, 1),)), "=", rhs))
+        for j, out in enumerate(outs):
+            rhs = LinTerm(tuple([(lam, g[j]) for lam, g in by_name if g[j]]),
+                          comp.base[j])
+            eqs.append(LiaFormula("atom", atom=(out, "=", rhs)))
         parts.append(exists(lams, conj(*eqs)))
     return disj(*parts)
 

@@ -30,16 +30,26 @@ class SynthOutcome:
 def _splits(total, sizes):
     """The tuples whose i-th entry is in `sizes[i]` (ascending) and that
     sum to `total`, in lexicographic order: the compositions of `total`
-    whose parts all have a non-empty pool, in the order they come."""
+    whose parts all have a non-empty pool, in the order they come.  The
+    last pool is answered by membership, with no frame per size."""
     if not sizes:
         if total == 0:
             yield ()
         return
-    for s in sizes[0]:
+    first, rest = sizes[0], sizes[1:]
+    if not rest:
+        if total in first:
+            yield (total,)
+        return
+    for s in first:
         if s > total:
             return
-        for rest in _splits(total - s, sizes[1:]):
-            yield (s,) + rest
+        if len(rest) == 1:
+            if total - s in rest[0]:
+                yield (s, total - s)
+        else:
+            for tail in _splits(total - s, rest):
+                yield (s,) + tail
 
 
 def enumerate_solve(g, ps, e, max_size=20, max_terms=200_000):
@@ -49,19 +59,23 @@ def enumerate_solve(g, ps, e, max_size=20, max_terms=200_000):
     by_size = {n: {} for n, _ in g.nonterminals}          # nt -> size -> [(sig, t)]
     aliases = [p for p in g.productions if p.is_alias
                and isinstance(p.args[0], str)]
-    concrete = [p for p in g.productions if not p.is_alias]
-    inline_sigs, leaf_sigs = {}, {}
-    for p in concrete:
-        inline_sigs[id(p)] = [eval_term(a, e) if isinstance(a, Term) else None
-                              for a in p.args]
-        if not p.args:
-            leaf_sigs[id(p)] = eval_term(Term(p.symbol), e)
+    # each concrete production with its own weight (itself and its inline
+    # terms), its nonterminal arguments, the signature of each inline
+    # argument (None at a nonterminal) and, for a leaf, its signature
+    concrete = []
+    for p in g.productions:
+        if p.is_alias:
+            continue
+        own = 1 + sum(isinstance(a, Term) for a in p.args)
+        nt_args = [a for a in p.args if isinstance(a, str)]
+        sigs = [eval_term(a, e) if isinstance(a, Term) else None
+                for a in p.args]
+        leaf = None if p.args else eval_term(Term(p.symbol), e)
+        concrete.append((p, own, nt_args, sigs, leaf))
     built = 0
     last_new = 0
-    max_nt_args = max((sum(isinstance(a, str) for a in p.args)
-                       for p in concrete), default=0)
-    max_own = max((1 + sum(isinstance(a, Term) for a in p.args)
-                   for p in concrete), default=1)
+    max_nt_args = max((len(c[2]) for c in concrete), default=0)
+    max_own = max((c[1] for c in concrete), default=1)
 
     def admit(nt, sig, term, size, fresh):
         nonlocal last_new
@@ -80,12 +94,9 @@ def enumerate_solve(g, ps, e, max_size=20, max_terms=200_000):
         # the sizes with terms, ascending; a split of this level sums to
         # less than `size`, so the terms it adds take part in none
         sizes = {n: tuple(pool) for n, pool in by_size.items()}
-        for p in concrete:
-            own = 1 + sum(isinstance(a, Term) for a in p.args)
-            nt_args = [a for a in p.args if isinstance(a, str)]
+        for p, own, nt_args, sigs, leaf in concrete:
             if own > size or (not nt_args and own != size):
                 continue
-            sigs = inline_sigs[id(p)]
             for split in _splits(size - own, [sizes[a] for a in nt_args]):
                 pools = [by_size[a][s] for a, s in zip(nt_args, split)]
                 for combo in itertools.product(*pools):
@@ -102,7 +113,7 @@ def enumerate_solve(g, ps, e, max_size=20, max_terms=200_000):
                         else:
                             vals.append(pre)
                             children.append(a)
-                    sig = (leaf_sigs[id(p)] if not p.args
+                    sig = (leaf if not p.args
                            else apply_symbol(p.symbol, vals))
                     found = admit(p.lhs, sig, Term(p.symbol, tuple(children)),
                                   size, fresh)

@@ -5,8 +5,8 @@ another way: bounded tree and value enumeration for the equation
 solvers, every size split for the enumerator's pool-aware split walk,
 Kleene iteration for Newton's method, the guard-pattern sum for
 `ite`, the one-shot `LessThan`, negation normal form and the DNF
-branches with their ILP systems for the lazy walk in `logic.decide`, and
-the bottom-up facts of an exported Horn script for a check without a
+branches with their ILP systems for the lazy walk in `logic.decide`, the
+concretization formula built with `lin` and `atom`, and the bottom-up facts of an exported Horn script for a check without a
 Horn solver.  Bounded concretization of semi-linear values, the
 operator symbols the tests write productions with, and a solver
 stand-in that refutes nothing are here too.  The package itself never
@@ -327,7 +327,7 @@ class RefutesNothing:
     `logic._branches` prunes no partial conjunction and yields the
     closure of every DNF branch."""
 
-    def feasible(self, closure):
+    def feasible(self, closure, witness=True):
         return ilp.Feasibility("sat")
 
 
@@ -343,6 +343,22 @@ def branch_system(b):
         cons.append(ilp.constraint(dict(diff.coeffs), rel, -diff.const))
         names |= lhs.variables() | rhs.variables()
     return ilp.system({v: v in b.nonneg for v in sorted(names)}, cons)
+
+
+def concretize_by_lin(value, names):
+    """`logic.concretize` as written with `lin` and `atom`: one `lin` per
+    side of each output's equation."""
+    parts = []
+    for comp in value.components:
+        gens = tuple(comp.gens)
+        lams = tuple([f"l{i + 1}" for i in range(len(gens))])
+        eqs = []
+        for j, name in enumerate(names):
+            rhs = lg.lin({lams[i]: g[j] for i, g in enumerate(gens)},
+                         comp.base[j])
+            eqs.append(lg.atom(lg.lin(((name, 1),)), "=", rhs))
+        parts.append(lg.exists(lams, lg.conj(*eqs)))
+    return lg.disj(*parts)
 
 
 # --- Horn clauses -------------------------------------------------------------

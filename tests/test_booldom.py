@@ -218,9 +218,9 @@ class CountingSolver(Solver):
         super().__init__()
         self.calls = 0
 
-    def feasible(self, closure):
+    def feasible(self, closure, witness=True):
         self.calls += 1
-        return super().feasible(closure)
+        return super().feasible(closure, witness)
 
 
 def realized(s1, s2):

@@ -1,10 +1,11 @@
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
-from unrealizer import cegis, clia, frontend, synth
+from unrealizer import cegis, clia, frontend, ilp, synth
 from unrealizer import grammar as gr
 from unrealizer.cegis import Budgets, Verdict, check_unrealizable, run_cegis
 from unrealizer.frontend import parse_problem, specialize
@@ -294,6 +295,28 @@ def test_a_run_normalizes_stratifies_and_specializes_once(monkeypatch):
     last = v.trace[-1]
     rows = [tuple(r) for r in last["examples"] + last["random"]]
     assert specialized == rows and len(rows) == 16
+
+
+def test_a_round_pays_for_no_lp_vertex(monkeypatch):
+    # a round reads only whether its check is sat, so branch and bound,
+    # which computes a witness, runs only for `synth.verify`'s
+    # counterexamples
+    search = ilp._branch_and_bound
+    callers = []
+
+    def spy(closure, node_budget):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not synth.verify.__code__:
+            frame = frame.f_back
+        callers.append("verify" if frame is not None else "other")
+        return search(closure, node_budget)
+
+    monkeypatch.setattr(ilp, "_branch_and_bound", spy)
+    v = run_cegis(_problem("gconst.sy"), seed=0,
+                  budgets=Budgets(max_rounds=16))
+    assert v.iterations == 16
+    assert all(rec["check"] == "Realizable" for rec in v.trace)
+    assert callers and set(callers) == {"verify"}
 
 
 def test_round_examples_that_do_not_extend_the_last_are_refused():

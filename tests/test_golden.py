@@ -56,11 +56,14 @@ CASES = [
 
 
 # the systems `--export-smt` writes, one file per query, concatenated under
-# their file names; max2's are verification queries over the inputs, and
-# gconst's carry the bound variables q1, q2, ... of the abstraction queries
+# their file names; max2's are verification queries over the inputs,
+# gconst's carry the bound variables q1, q2, ... of the abstraction
+# queries, and sub's one round is Newton's membership queries and
+# LessThan's prefix systems
 EXPORT_CASES = [
-    ("export_smt_max2.smt2", 10, "max2.sy"),
-    ("export_smt_gconst.smt2", 20, "gconst.sy"),
+    ("export_smt_max2.smt2", 10, "max2.sy", 6),
+    ("export_smt_gconst.smt2", 20, "gconst.sy", 6),
+    ("export_smt_sub.smt2", 20, "sub.sy", 1),
 ]
 
 
@@ -88,10 +91,11 @@ def concatenated_exports(directory):
                     for f in sorted(Path(directory).iterdir()))
 
 
-@pytest.mark.parametrize("golden, code, problem", EXPORT_CASES,
+@pytest.mark.parametrize("golden, code, problem, rounds", EXPORT_CASES,
                          ids=[c[0] for c in EXPORT_CASES])
-def test_exported_queries_match_golden(golden, code, problem, tmp_path):
-    out = _run(["check", problem, "--seed", "0", "--max-rounds", "6",
+def test_exported_queries_match_golden(golden, code, problem, rounds,
+                                       tmp_path):
+    out = _run(["check", problem, "--seed", "0", "--max-rounds", str(rounds),
                 "--export-smt", str(tmp_path)])
     assert out.returncode == code
     assert concatenated_exports(tmp_path) == (GOLDEN / golden).read_bytes()

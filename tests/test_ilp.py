@@ -870,3 +870,65 @@ def test_children_leave_their_parent_and_siblings_as_they_were():
     grandchild = shared.add([ilp.constraint({"z": 1}, "=", 0)])
     assert grandchild.fixed == {"z": 0} and grandchild.upper["x"] == 2
     assert closure_state(shared) == kept and closure_state(parent) == before
+
+
+def cegis_shaped(rng):
+    """A CEGIS round's leaf: o_j = u_j + sum_i q_i g_ij for free outputs
+    and nonneg multipliers, most outputs bounded on one or both sides.
+    One multiplier leaves no row once the outputs are eliminated; two
+    leave rows on both."""
+    d, k = rng.randint(1, 6), rng.choice((1, 1, 2))
+    outs = [f"o{j + 1}" for j in range(d)]
+    lams = [f"q{i + 1}" for i in range(k)]
+    variables = {**{o: False for o in outs}, **{q: True for q in lams}}
+    cons = []
+    for o in outs:
+        coeffs = {o: 1, **{q: -rng.randint(-3, 3) for q in lams}}
+        cons.append(ilp.constraint(coeffs, "=", rng.randint(-5, 5)))
+        for sign in (1, -1):
+            if rng.random() < 0.7:
+                cons.append(ilp.constraint({o: sign}, rng.choice(("<", "<=")),
+                                           rng.randint(-12, 12)))
+    rng.shuffle(cons)
+    return variables, cons
+
+
+def member_shaped(rng):
+    """A membership query p in <u, G>: sum_i l_i g_i = p - u over nonneg
+    l_i, two or more generators, many entries +-1 or 0."""
+    d, k = rng.randint(1, 3), rng.choice((2, 2, 3, 4))
+    gens = []
+    while len(gens) < k:
+        g = tuple(rng.choice((0, 0, 1, -1, rng.randint(-3, 3)))
+                  for _ in range(d))
+        if any(g):
+            gens.append(g)
+    lam = [rng.choice((0, rng.randint(0, 3))) for _ in gens]
+    diff = [sum(x * g[j] for x, g in zip(lam, gens)) for j in range(d)]
+    if rng.random() < 0.4:  # off the set, often
+        diff[rng.randrange(d)] += rng.choice((-3, -2, -1, 1, 2))
+    cons = [ilp.constraint({f"l{i}": g[j] for i, g in enumerate(gens)},
+                           "=", diff[j]) for j in range(d)]
+    return {f"l{i}": True for i in range(k)}, cons
+
+
+@pytest.mark.parametrize("shape", [cegis_shaped, member_shaped])
+def test_status_only_elimination_agrees_with_branch_and_bound(shape):
+    # every exit of `_eliminate`: all rows eliminated (sat), crossed
+    # bounds (unsat), a row left (branch and bound decides)
+    rng = random.Random(5113)
+    exits = {"sat": 0, "unsat": 0, None: 0}
+    for _ in range(1500):
+        closure = ilp.system(*shape(rng))
+        if closure.verdict() is not None:
+            continue
+        want = ilp.Solver().feasible(closure)
+        got = ilp.Solver().feasible(closure, witness=False)
+        assert got.status == want.status, closure.constraints
+        settled = ilp._eliminate(closure)
+        exits[settled and settled.status] += 1
+        if settled is not None:
+            assert got == settled == ilp.Feasibility(want.status, None, 0)
+        else:
+            assert got == want
+    assert min(exits.values()) >= 20, exits

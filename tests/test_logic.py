@@ -5,8 +5,8 @@ import random
 import pytest
 
 from oracles import (
-    Branch, RefutesNothing, branch_system, dnf_branches, free_vars,
-    gamma_bounded, nnf,
+    Branch, RefutesNothing, branch_system, concretize_by_lin, dnf_branches,
+    free_vars, gamma_bounded, nnf,
 )
 from unrealizer import logic as lg
 from unrealizer import semilinear as sl
@@ -287,6 +287,26 @@ def test_concretize_members_against_gamma():
             q = lg.conj(f, lg.atom(lg.lin({"o1": 1}), "=", p[0]),
                         lg.atom(lg.lin({"o2": 1}), "=", p[1]))
             assert lg.decide(q, solver)[0] == "sat"
+
+
+def test_concretize_builds_the_formula_lin_builds():
+    # up to 12 generators, so the multiplier l10 sorts before l2
+    rng = random.Random(4417)
+    many = 0
+    for _ in range(200):
+        dim = rng.randint(1, 4)
+        comps = []
+        for _ in range(rng.randint(1, 3)):
+            base = tuple(rng.randint(-5, 5) for _ in range(dim))
+            gens = [tuple(rng.choice((0, rng.randint(-4, 4)))
+                          for _ in range(dim))
+                    for _ in range(rng.randint(0, 12))]
+            comps.append(sl.LinearSet(base, tuple(g for g in gens if any(g))))
+            many += len(comps[-1].gens) >= 10
+        value = sl.SemiLinearSet(tuple(comps))
+        names = lg.output_names(dim)
+        assert lg.concretize(value, names) == concretize_by_lin(value, names)
+    assert many > 20
 
 
 def test_concretize_zero_is_false():

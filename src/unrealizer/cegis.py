@@ -13,7 +13,8 @@ their random examples, reuse that result.  The loop is sequential and
 deterministic for a fixed seed.
 
 Each round's examples are the last round's plus one, so a run does once
-what does not depend on them (`_RunState`, which dies with the run).
+what does not depend on them (`_RunState`, which dies with the run),
+such as the semi-linear mode's normalized grammar and strata.
 A round reads only whether its check is sat, never the check's witness,
 so it asks the solver for the status alone.
 """
@@ -48,11 +49,12 @@ class CheckResult:
 
 
 class _RunState:
-    """A run's grammar normalized and stratified once, each example's
-    specification specialized once, and `logic.decide`'s atom rows."""
+    """A run's `clia.Compiled`, made by its first semi-linear round, each
+    example's specification specialized once, and `logic.decide`'s atom
+    rows."""
 
     def __init__(self):
-        self.compiled, self.atom_rows = clia.Compiled(), {}
+        self.compiled, self.atom_rows = None, {}
         self.rows, self.ps = (), PointSpec(())
 
     def specialize(self, spec, e):
@@ -88,6 +90,8 @@ def check_unrealizable(g, spec, e, solver=None, mode="sl", state=None,
                 return CheckResult("Unrealizable", status, values)
             return CheckResult("Unknown", status, values, model,
                                "abstraction-sat")
+        if state.compiled is None:
+            state.compiled = clia.Compiled(g)
         result = clia.solve(g, e, solver, compiled=state.compiled)
         stats = {"strata": len(result.strata),
                  "mutual_iterations": {"+".join(k): v for k, v in

@@ -149,25 +149,22 @@ class SolveResult:
 
 
 class Compiled:
-    """A grammar normalized, and its strata, once for every example set:
-    the strata depend only on the nonterminals each production names."""
+    """A grammar normalized, and its strata, made once for every example
+    set: the strata are read off the normalized grammar's productions."""
 
-    def __init__(self):
-        self.grammar = self.strata = None  # set by the first `solve`
+    def __init__(self, g):
+        self.grammar = normalize(g)
+        self.strata = stratify(self.grammar)
 
 
 def solve(g, e, solver=None, trace=None, compiled=None):
     """Full pipeline: normalize the grammar, build equations, and solve
     stratum by stratum in dependence order.  A caller that solves `g` on
-    many example sets passes one `Compiled()` to every call, so `g` is
+    many example sets passes one `Compiled(g)` to every call, so `g` is
     normalized and stratified once."""
     solver = solver if solver is not None else Solver()
-    compiled = compiled if compiled is not None else Compiled()
-    if compiled.grammar is None:
-        compiled.grammar = normalize(g)
+    compiled = compiled if compiled is not None else Compiled(g)
     sys = build_equations(compiled.grammar, e)
-    if compiled.strata is None:
-        compiled.strata = stratify(sys)
     values = {}
     result = SolveResult(values, compiled.strata)
     for stratum in compiled.strata:

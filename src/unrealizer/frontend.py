@@ -444,14 +444,11 @@ def format_problem(p):
         if key != "logic":
             lines.append(f"(set-option :{key} {p.options[key]})")
     args = " ".join(f"({v} Int)" for v in p.variables)
-    ret = dict(p.grammar.nonterminals)[p.grammar.start]
+    ret = p.grammar.sorts[p.grammar.start]
     lines.append(f"(synth-fun {p.name} ({args}) {ret}")
     lines.append("  (")
-    by_lhs = {}
-    for prod in p.grammar.productions:
-        by_lhs.setdefault(prod.lhs, []).append(prod)
     for nt, sort in p.grammar.nonterminals:
-        prods = " ".join(_format_production(q) for q in by_lhs.get(nt, []))
+        prods = " ".join(_format_production(q) for q in p.grammar.by_lhs[nt])
         lines.append(f"    ({nt} {sort} ({prods}))")
     lines.append("  ))")
     app = " ".join((p.name,) + p.variables)

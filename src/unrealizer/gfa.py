@@ -5,7 +5,8 @@ equation; the equation's value is the join of its monomials.  Integer
 monomials are products of a constant semi-linear coefficient with
 nonterminal factors (optionally under a pending coordinate projection);
 conditional and Boolean productions keep their operator symbolic until
-the mixed solver freezes or expands them.
+the mixed solver freezes or expands them.  The strata are read off the
+grammar (`stratify`), since the productions alone fix what each reads.
 """
 
 from dataclasses import dataclass
@@ -144,31 +145,15 @@ def build_equations(g, e):
                             d, sorts)
 
 
-def _references(mono):
-    refs = []
-    if isinstance(mono, IntMonomial):
-        refs.extend(f.var for f in mono.factors)
-    elif isinstance(mono, IteMonomial):
-        refs.extend(a for a in (mono.guard, mono.then_arg, mono.else_arg)
-                    if isinstance(a, str))
-    else:
-        refs.extend(a for a in mono.args if isinstance(a, str))
-    return refs
-
-
-def dependencies(sys):
-    """nonterminal -> set of nonterminals its equation reads."""
-    return {nt: {r for m in monos for r in _references(m)}
-            for nt, monos in sys.equations.items()}
-
-
-def stratify(sys):
-    """SCCs of the dependence graph, each a name-sorted tuple, in the
-    order Tarjan's algorithm finishes them: a stratum reads only itself
-    and earlier strata.  Roots and successors are visited in name order,
-    so the order is reproducible.
+def stratify(g):
+    """SCCs of a checked grammar's productions (the relation
+    `grammar.reachable` walks, and what each equation reads), each a
+    name-sorted tuple, in the order Tarjan's algorithm finishes them: a
+    stratum reads only itself and earlier strata.  Roots and successors
+    are visited in name order, so the order is reproducible.
     """
-    deps = dependencies(sys)
+    deps = {nt: {a for p in ps for a in p.args if isinstance(a, str)}
+            for nt, ps in g.by_lhs.items()}
     index, low, onstack = {}, {}, set()
     stack, work, sccs = [], [], []
 
@@ -185,8 +170,6 @@ def stratify(sys):
         while work:
             v, it = work[-1]
             for w in it:
-                if w not in deps:
-                    continue
                 if w not in index:
                     push(w)
                     break

@@ -23,6 +23,8 @@ exact elimination first: an equality with a unit coefficient on a
 variable no other row mentions is solved for that variable, whose
 bounds become rows on the rest (column-singleton substitution, same
 reference).  A system with no row left is decided there, with 0 nodes.
+A one-variable row, from propagation or elimination, becomes an integer
+bound in `Closure._row_bound` alone.
 
 Every other system, and every one whose witness is read, goes to branch
 and bound on its normalized rows in the order they were taken in, over
@@ -319,9 +321,9 @@ class Closure:
     """Exact bound propagation over a conjunction that grows row by row.
 
     A closure is a system: it holds the declared variables and every row
-    it has taken in, in order, with its presolved form, and what
-    propagation made of them: the integer bounds (a nonneg variable
-    starts with lower bound 0), the variables whose bounds meet (fixed),
+    it has taken in, in order, and what propagation made of their
+    presolved forms: the integer bounds (a nonneg variable starts with
+    lower bound 0), the variables whose bounds meet (fixed),
     and the rows still on two or more unfixed variables (reduced by the
     fixed ones).  A row left with one variable becomes a bound on it,
     rounded to an integer (a*x <= b gives x <= floor(b/a) for a > 0,
@@ -347,13 +349,12 @@ class Closure:
     keep such state for the simplex; here it is the presolve's).
     """
 
-    __slots__ = ("variables", "constraints", "presolved", "lower", "upper",
-                 "fixed", "pending", "unsat", "checked")
+    __slots__ = ("variables", "constraints", "lower", "upper", "fixed",
+                 "pending", "unsat", "checked")
 
     def __init__(self):
         self.variables: dict[str, bool] = {}  # declared: name -> nonneg
         self.constraints: tuple = ()  # every Constraint taken in, in order
-        self.presolved: tuple = ()    # presolve_row of each
         self.lower: dict[str, int | None] = {}
         self.upper: dict[str, int | None] = {}
         self.fixed: dict[str, int] = {}
@@ -399,7 +400,6 @@ class Closure:
                 new.unsat = True
             scan.append(row)
         new.constraints = self.constraints + constraints
-        new.presolved = self.presolved + tuple(scan)
         if new.unsat:
             return new
         left = list(self.pending)
@@ -419,12 +419,8 @@ class Closure:
                         new.unsat = True
                         return new
                     continue
-                # an equality gets both bounds; they cross if a does not
-                # divide rhs
                 ((v, a),) = coeffs.items()
-                lo = -(rhs // -a) if rel == EQ or a < 0 else None
-                hi = rhs // a if rel == EQ or a > 0 else None
-                if not new._bound(v, lo, hi, self):
+                if not new._row_bound(v, a, rel, rhs, self):
                     return new
                 fixed = new.fixed  # a copy once `_bound` has written
             if len(fixed) == seen:
@@ -441,6 +437,14 @@ class Closure:
             self.lower = dict(self.lower)
             self.upper = dict(self.upper)
             self.fixed = dict(self.fixed)
+
+    def _row_bound(self, v: str, a: int, rel: str, rhs: int,
+                   parent: Closure) -> bool:
+        """`_bound` by the row a*v <rel> rhs (rel "=" or "<="), rounded
+        inward to integers; the one place a row's bound is rounded."""
+        lo = -(rhs // -a) if rel == EQ or a < 0 else None
+        hi = rhs // a if rel == EQ or a > 0 else None
+        return self._bound(v, lo, hi, parent)
 
     def _bound(self, v: str, lo: int | None, hi: int | None,
                parent: Closure) -> bool:
@@ -499,13 +503,14 @@ def _eliminate(closure: Closure) -> Feasibility | None:
     substitution.  v is then an integer affine function of the other
     variables, so the system without the row, and with v's bounds written
     as rows on `rest`, has exactly the integer points of the original,
-    each extended by one value of v.  Such a row on one variable tightens
-    its bound, rounded inward as `Closure.add` rounds, and crossed bounds
-    are "unsat".  A row on two or more variables is never dropped, so it
-    leaves the system open, as does a pending inequality.  When no row is
-    left, every other variable takes its lower bound, else its upper, else
-    0, and the eliminated ones follow in reverse order; the point is
-    rechecked against every row and only the status is returned.
+    each extended by one value of v.  Such a row on one variable becomes
+    a bound on a child closure (`Closure._row_bound`, which copies the
+    bounds on its first write), and crossed bounds are "unsat".  A row on
+    two or more variables is never dropped, so it leaves the system open,
+    as does a pending inequality.  When no row is left, every other
+    variable takes its lower bound, else its upper, else 0, and the
+    eliminated ones follow in reverse order; the point is rechecked
+    against every row and only the status is returned.
     """
     rows = list(closure.pending)
     if any(rel != EQ for _, rel, _ in rows):
@@ -514,7 +519,7 @@ def _eliminate(closure: Closure) -> Feasibility | None:
     for coeffs, _, _ in rows:
         for v in coeffs:
             uses[v] = uses.get(v, 0) + 1
-    lower, upper = dict(closure.lower), dict(closure.upper)
+    child = closure.add()
     solved = []  # (v, base, rest): v = base - sum(k * w for w, k in rest)
     i = 0
     while i < len(rows):
@@ -532,27 +537,18 @@ def _eliminate(closure: Closure) -> Feasibility | None:
         base = a * rhs
         solved.append((v, base, rest))
         # v >= lo is rest <= base - lo; v <= hi is -rest <= hi - base
-        for s, b in ((1, lower[v]), (-1, upper[v])):
+        for s, b in ((1, child.lower[v]), (-1, child.upper[v])):
             if b is None:
                 continue
             if len(rest) > 1:
                 return None
             ((w, k),) = rest.items()
-            k, b = s * k, s * (base - b)
-            if k > 0:
-                hi = b // k
-                if upper[w] is None or hi < upper[w]:
-                    upper[w] = hi
-            else:
-                lo = -(b // -k)
-                if lower[w] is None or lo > lower[w]:
-                    lower[w] = lo
-            if lower[w] is not None and upper[w] is not None \
-                    and lower[w] > upper[w]:
+            if not child._row_bound(w, s * k, LE, s * (base - b), closure):
                 return Feasibility("unsat", None, 0)
         i = 0  # a row before this one may have lost its last rival
     if rows:
         return None
+    lower, upper = child.lower, child.upper
     point = {v: lo if lo is not None else upper[v] if upper[v] is not None
              else 0 for v, lo in lower.items()}
     for v, base, rest in reversed(solved):
@@ -629,7 +625,8 @@ def _branch_and_bound(closure: Closure, node_budget: int) -> Feasibility:
     """
     variables = sorted(closure.variables.items())
     varnames = [v for v, _ in variables]
-    constraints = [r for r in closure.presolved if r[0]]
+    # the closure is not unsat, so every row presolves
+    constraints = [r for r in map(presolve_row, closure.constraints) if r[0]]
 
     lower0: dict[str, int | None] = {v: (0 if nonneg else None)
                                      for v, nonneg in variables}

@@ -24,6 +24,9 @@ from . import ilp
 from .grammar import numeral
 
 RELOPS = ("=", "<", "<=", ">", ">=", "!=")
+# the relation that holds exactly where `rel` does not
+COMPLEMENT = {"=": "!=", "<": ">=", "<=": ">", ">": "<=", ">=": "<",
+              "!=": "="}
 
 
 class LinTerm(NamedTuple):
@@ -205,20 +208,6 @@ def _positive_atom(lhs, rel, rhs):
     return atom(lhs, rel, rhs)
 
 
-def _negated_atom(lhs, rel, rhs):
-    if rel == "=":
-        return disj(atom(lhs, "<", rhs), atom(rhs, "<", lhs))
-    if rel == "!=":
-        return atom(lhs, "=", rhs)
-    if rel == "<":
-        return atom(rhs, "<=", lhs)
-    if rel == "<=":
-        return atom(rhs, "<", lhs)
-    if rel == ">":
-        return atom(lhs, "<=", rhs)
-    return atom(lhs, "<", rhs)  # rel == ">="
-
-
 def _prepare(f, negate, renaming, fresh):
     """f, negated when `negate` is set, in negation normal form with atoms
     over {=, <, <=} and every bound variable renamed: the binders take
@@ -234,7 +223,7 @@ def _prepare(f, negate, renaming, fresh):
         if renamed:
             lhs, rhs = _rename(lhs, renaming), _rename(rhs, renaming)
         if negate:
-            return _negated_atom(lhs, rel, rhs)
+            return _positive_atom(lhs, COMPLEMENT[rel], rhs)
         if not renamed and rel in ("=", "<", "<="):
             return f
         return _positive_atom(lhs, rel, rhs)

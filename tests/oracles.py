@@ -1,17 +1,19 @@
 """Reference definitions the tests check the package against.
 
 Each one is the plain, eager form of something the package computes
-another way: bounded tree and value enumeration for the equation
-solvers, every size split for the enumerator's pool-aware split walk,
-Kleene iteration for Newton's method, the guard-pattern sum for
-`ite`, the one-shot `LessThan`, negation normal form and the DNF
-branches with their ILP systems for the lazy walk in `logic.decide`, the
-concretization formula built with `lin` and `atom`, and the bottom-up facts of an exported Horn script for a check without a
-Horn solver.  Bounded concretization of semi-linear values, the
-operator symbols the tests write productions with, and a solver
-stand-in that refutes nothing are here too.  The package itself never
-calls them.  pytest does not collect this module (its name does not
-start with ``test_``); the tests import it by name.
+another way: the read relation of an equation system's monomials, and
+Tarjan's algorithm over it, for the strata read off the grammar; bounded
+tree and value enumeration for the equation solvers, every size split
+for the enumerator's pool-aware split walk, Kleene iteration for
+Newton's method, the guard-pattern sum for `ite`, the one-shot
+`LessThan`, negation normal form and the DNF branches with their ILP
+systems for the lazy walk in `logic.decide`, the concretization formula
+built with `lin` and `atom`, and the bottom-up facts of an exported Horn
+script for a check without a Horn solver.  Bounded concretization of
+semi-linear values, the operator symbols the tests write productions
+with, and a solver stand-in that refutes nothing are here too.  The
+package itself never calls them.  pytest does not collect this module
+(its name does not start with ``test_``); the tests import it by name.
 """
 
 import itertools
@@ -23,6 +25,7 @@ from unrealizer import logic as lg
 from unrealizer import semilinear as sl
 from unrealizer.booldom import LessThanCache, neg
 from unrealizer.frontend import parse_sexprs
+from unrealizer.gfa import IntMonomial, IteMonomial
 from unrealizer.grammar import (
     AND, DOUBLE, INC, ITE, LESSTHAN, MINUS, NOT, ExampleSet, GrammarError,
     Symbol, Term, apply_symbol, eval_term,
@@ -177,6 +180,53 @@ def reachable_values(g, nt, depth, e, max_values=200_000):
     return dict(banks.get(nt, {}))
 
 
+# --- strata -----------------------------------------------------------------
+
+def equation_reads(sys):
+    """nonterminal -> the nonterminals its equation reads, off the
+    monomials of one equation system: the relation `gfa.stratify` once
+    rebuilt for each system, where it now reads the grammar."""
+    out = {}
+    for nt, monos in sys.equations.items():
+        refs = set()
+        for m in monos:
+            if isinstance(m, IntMonomial):
+                refs.update(f.var for f in m.factors)
+                continue
+            args = (m.guard, m.then_arg, m.else_arg) \
+                if isinstance(m, IteMonomial) else m.args
+            refs.update(a for a in args if isinstance(a, str))
+        out[nt] = refs
+    return out
+
+
+def tarjan(deps):
+    """Strongly connected components of the relation `deps` (name -> the
+    names it reads, every one a key), each name-sorted, in the order the
+    recursive form of Tarjan's algorithm finishes them, with roots and
+    successors visited in name order."""
+    index, low, stack, sccs = {}, {}, [], []
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        for w in sorted(deps[v]):
+            if w not in index:
+                visit(w)
+                low[v] = min(low[v], low[w])
+            elif w in stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            i = stack.index(v)
+            sccs.append(tuple(sorted(stack[i:])))
+            del stack[i:]
+
+    for v in sorted(deps):
+        if v not in index:
+            visit(v)
+    return sccs
+
+
 # --- abstract domains and fixpoints -----------------------------------------
 
 def gamma_bounded(value, budget):
@@ -267,8 +317,8 @@ def nnf(f, negate=False):
         return lg.TRUE if negate else lg.FALSE
     if f.op == "atom":
         lhs, rel, rhs = f.atom
-        return lg._negated_atom(lhs, rel, rhs) if negate \
-            else lg._positive_atom(lhs, rel, rhs)
+        return lg._positive_atom(lhs, lg.COMPLEMENT[rel] if negate else rel,
+                                 rhs)
     if f.op == "not":
         return nnf(f.args[0], not negate)
     if f.op == "and":

@@ -297,6 +297,25 @@ def test_a_run_normalizes_stratifies_and_specializes_once(monkeypatch):
     assert specialized == rows and len(rows) == 16
 
 
+@pytest.mark.parametrize("mode,made", [("sl", 1), ("predabs", 0)])
+def test_a_run_compiles_the_grammar_once_and_only_for_sl(monkeypatch,
+                                                         mode, made):
+    # predicate abstraction reads the grammar as it is, so a predabs run
+    # never normalizes it
+    compiled = []
+
+    class Counting(clia.Compiled):
+        def __init__(self, g):
+            compiled.append(g)
+            super().__init__(g)
+
+    monkeypatch.setattr(clia, "Compiled", Counting)
+    v = run_cegis(_problem("gconst.sy"), seed=0, mode=mode,
+                  budgets=Budgets(max_rounds=3))
+    assert v.iterations == 3
+    assert len(compiled) == made
+
+
 def test_a_round_pays_for_no_lp_vertex(monkeypatch):
     # a round reads only whether its check is sat, so branch and bound,
     # which computes a witness, runs only for `synth.verify`'s

@@ -1,14 +1,18 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from oracles import AND_SYM, ITE_SYM, LESSTHAN_SYM, MINUS_SYM, NOT_SYM
+from oracles import (
+    AND_SYM, ITE_SYM, LESSTHAN_SYM, MINUS_SYM, NOT_SYM, equation_reads,
+    tarjan,
+)
 from unrealizer import gfa
 from unrealizer import grammar as gr
 from unrealizer import semilinear as sl
 from unrealizer.frontend import parse_problem
 from unrealizer.gfa import BoolMonomial, Factor, IntMonomial, IteMonomial
-from unrealizer.rewrite import to_plus_form
+from unrealizer.rewrite import normalize, to_plus_form
 
 E12 = gr.ExampleSet(("x",), ((1,), (2,)))
 
@@ -86,8 +90,10 @@ def test_build_equations_rejects_minus():
 
 
 def test_dependencies():
+    # the reference read relation off the monomials: g1's one equation
+    # reads only itself
     sys = gfa.build_equations(_g1(), E12)
-    assert gfa.dependencies(sys) == {"Start": {"Start"}}
+    assert equation_reads(sys) == {"Start": {"Start"}}
 
 
 def test_stratify_orders_dependencies_first():
@@ -96,7 +102,7 @@ def test_stratify_orders_dependencies_first():
                 gr.Production("S", gr.num(0), ()),
                 gr.Production("T", gr.plus(2), ("U", gr.leaf(gr.num(1)))),
                 gr.Production("U", gr.var("x"), ())))
-    strata = gfa.stratify(gfa.build_equations(g, E12))
+    strata = gfa.stratify(g)
     assert strata == [("U",), ("T",), ("S",)]
     assert all(isinstance(s, tuple) for s in strata)
 
@@ -107,7 +113,7 @@ def test_stratify_groups_mutual_recursion():
                 gr.Production("S", gr.num(1), ()),
                 gr.Production("B", LESSTHAN_SYM,
                               (gr.leaf(gr.num(0)), "S"))))
-    strata = gfa.stratify(gfa.build_equations(g, E12))
+    strata = gfa.stratify(g)
     assert strata == [("B", "S")]
 
 
@@ -118,7 +124,7 @@ def test_stratify_follows_tarjan_finish_order():
                (gr.Production("A", gr.num(1), ()),
                 gr.Production("Z", gr.num(2), ()),
                 gr.Production("M", gr.plus(2), ("A", "Z"))))
-    strata = gfa.stratify(gfa.build_equations(g, E12))
+    strata = gfa.stratify(g)
     assert strata == [("A",), ("Z",), ("M",)]
 
 
@@ -136,17 +142,17 @@ def test_stratify_random_graphs_against_reachability_oracle():
     rng = random.Random(0)
     for _ in range(300):
         names = [f"N{i}" for i in rng.sample(range(40), rng.randint(1, 12))]
-        # "X" is read but has no equation, like a solved nonterminal
-        pool = names + ["X"]
-        deps = {v: set(rng.sample(pool, rng.randint(0, min(3, len(pool)))))
+        deps = {v: set(rng.sample(names, rng.randint(0, min(3, len(names)))))
                 for v in names}
-        sys = gfa.PolynomialSystem(
-            {v: (IntMonomial(sl.one(1), tuple(Factor(w) for w in sorted(ds))),
-                 IntMonomial(sl.one(1)))
-             for v, ds in deps.items()},
-            1, {v: gr.INT for v in names})
-        strata = gfa.stratify(sys)
-        reach = _reaches({v: ds - {"X"} for v, ds in deps.items()})
+        # an alias per read name, and a leaf so that every language is
+        # nonempty
+        g = gr.check(gr.Rtg(
+            tuple((v, gr.INT) for v in names), names[0],
+            tuple([gr.Production(v, None, (w,))
+                   for v in names for w in sorted(deps[v])]
+                  + [gr.Production(v, gr.num(0), ()) for v in names])))
+        strata = gfa.stratify(g)
+        reach = _reaches(deps)
         sccs = {tuple(sorted(w for w in names
                              if w in reach[v] and v in reach[w]))
                 for v in names}
@@ -154,7 +160,7 @@ def test_stratify_random_graphs_against_reachability_oracle():
         seen = set()
         for stratum in strata:
             seen |= set(stratum)
-            assert all(deps[v] - {"X"} <= seen for v in stratum)
+            assert all(deps[v] <= seen for v in stratum)
 
 
 def test_stratify_on_one_example_problem():
@@ -167,9 +173,27 @@ def test_stratify_on_one_example_problem():
 (constraint (= (f x) 1))
 (check-synth)
 """)
-    e = gr.ExampleSet(("x",), ((4,),))
-    strata = gfa.stratify(gfa.build_equations(p.grammar, e))
+    strata = gfa.stratify(p.grammar)
     assert strata == [("T",), ("B",), ("Start",)]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(__file__).parent.glob("problems/*.sy")),
+    ids=lambda path: path.stem)
+def test_stratify_matches_tarjan_over_the_equations_reads(path):
+    # the strata read off a normalized grammar are those of the read
+    # relation of its equations, in the same order
+    p = parse_problem(path.read_text())
+    g = normalize(p.grammar)
+    e = gr.ExampleSet(p.variables, tuple(
+        tuple([i + j for j in range(len(p.variables))]) for i in (0, 5, -7)))
+    if any(q.symbol is not None and q.symbol.kind in (gr.DOUBLE, gr.INC)
+           for q in g.productions):
+        # parity's Double and Inc have no semi-linear equation
+        with pytest.raises(gr.GrammarError):
+            gfa.build_equations(g, e)
+        return
+    assert gfa.stratify(g) == tarjan(equation_reads(gfa.build_equations(g, e)))
 
 
 def test_substitute_folds_solved_values():

@@ -627,8 +627,7 @@ def closure_rows(rng):
 
 def closure_state(cl):
     return (cl.unsat, dict(cl.fixed), dict(cl.lower), dict(cl.upper),
-            list(cl.pending), list(cl.constraints), list(cl.presolved),
-            dict(cl.variables))
+            list(cl.pending), list(cl.constraints), dict(cl.variables))
 
 
 def test_closure_extended_row_by_row_matches_one_shot_propagation():
@@ -932,3 +931,36 @@ def test_status_only_elimination_agrees_with_branch_and_bound(shape):
         else:
             assert got == want
     assert min(exits.values()) >= 20, exits
+
+
+def _refuted_by_elimination(variables, rows):
+    """The status-only answer and branch and bound's on one open system,
+    after checking that `_eliminate` is what refutes it."""
+    closure = ilp.system(variables, [ilp.constraint(*r) for r in rows])
+    assert closure.verdict() is None and closure.pending
+    assert ilp._eliminate(closure) == ilp.Feasibility("unsat", None, 0)
+    got = ilp.Solver().feasible(closure, witness=False)
+    want = ilp.Solver().feasible(closure)
+    return got, want
+
+
+def test_elimination_refutes_through_a_transferred_upper_bound():
+    # o = 3q with 1 <= o <= 2: o's lower bound moves to q >= ceil(1/3),
+    # then its upper bound to q <= floor(2/3), which crosses it
+    got, want = _refuted_by_elimination(
+        {"o": False, "q": False},
+        [({"o": 1, "q": -3}, "=", 0), ({"o": -1}, "<=", -1),
+         ({"o": 1}, "<=", 2)])
+    assert got.status == want.status == "unsat"
+    assert got.nodes == 0 < want.nodes
+
+
+def test_elimination_refutes_through_a_transferred_lower_bound():
+    # o = 3q with o >= 1 and q <= 0: o's lower bound moves to
+    # q >= ceil(1/3), which crosses q's upper bound
+    got, want = _refuted_by_elimination(
+        {"o": False, "q": False},
+        [({"o": 1, "q": -3}, "=", 0), ({"o": -1}, "<=", -1),
+         ({"q": 1}, "<=", 0)])
+    assert got.status == want.status == "unsat"
+    assert got.nodes == 0 < want.nodes

@@ -180,6 +180,19 @@ def test_nnf_equivalent_on_points():
             assert lg.evaluate(f, env) == lg.evaluate(g, env)
 
 
+@pytest.mark.parametrize("rel", lg.RELOPS)
+def test_negated_atom_is_the_complement_relation(rel):
+    # `_prepare` negates an atom by its complement relation: on every
+    # point, the negation holds exactly where the atom does not
+    x, y = lg.lin({"x": 1}), lg.lin({"y": 1})
+    f = lg.atom(x, rel, y)
+    g = _prepare(lg.neg(f))
+    assert g.op in ("atom", "or")  # no "not" is left
+    for a, b in itertools.product(range(-3, 4), repeat=2):
+        env = {"x": a, "y": b}
+        assert lg.evaluate(g, env) == (not lg.evaluate(f, env)), (a, b)
+
+
 def _systems(closures):
     """What a closure holds that decides its verdict: its declared
     variables and its rows."""

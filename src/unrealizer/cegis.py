@@ -14,7 +14,11 @@ deterministic for a fixed seed.
 
 Each round's examples are the last round's plus one, so a run does once
 what does not depend on them (`_RunState`, which dies with the run),
-such as the semi-linear mode's normalized grammar and strata.
+such as the semi-linear mode's normalized grammar and strata, and
+specializes the specification to each example at most once, when a
+query or the synthesizer first reads it.  A start value with no
+generator is a finite set of points, and its check evaluates the
+specification there, reading no specialized formula.
 A round reads only whether its check is sat, never the check's witness,
 so it asks the solver for the status alone.
 """
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 
 from . import approx, clia, logic, synth
 from .booldom import bset_str
-from .frontend import PointSpec, specialize
+from .frontend import PointSpec, holds, specialize
 from .grammar import ExampleSet, Term
 from .ilp import BudgetExceeded, Solver
 
@@ -49,21 +53,27 @@ class CheckResult:
 
 
 class _RunState:
-    """A run's `clia.Compiled`, made by its first semi-linear round, each
-    example's specification specialized once, and `logic.decide`'s atom
-    rows."""
+    """A run's `clia.Compiled`, made by its first semi-linear round, its
+    specification specialized to each example once, when a query or the
+    synthesizer first reads it, and `logic.decide`'s atom rows."""
 
     def __init__(self):
         self.compiled, self.atom_rows = None, {}
-        self.rows, self.ps = (), PointSpec(())
+        self.spec, self.e, self._ps = None, None, PointSpec(())
 
-    def specialize(self, spec, e):
-        n = len(self.rows)
-        if e.rows[:n] != self.rows:
+    def advance(self, spec, e):
+        """Take this round's examples, which extend the last round's."""
+        if self.e is not None and e.rows[:len(self.e.rows)] != self.e.rows:
             raise AssertionError("examples must extend the last round's")
-        new = specialize(spec, e, n).formulas
-        self.rows, self.ps = e.rows, PointSpec(self.ps.formulas + new)
-        return self.ps
+        self.spec, self.e = spec, e
+
+    def ps(self):
+        """The specification specialized to this round's examples."""
+        n = len(self._ps.formulas)
+        if n < len(self.e.rows):
+            new = specialize(self.spec, self.e, n).formulas
+            self._ps = PointSpec(self._ps.formulas + new)
+        return self._ps
 
 
 def check_unrealizable(g, spec, e, solver=None, mode="sl", state=None,
@@ -72,10 +82,15 @@ def check_unrealizable(g, spec, e, solver=None, mode="sl", state=None,
     sound one-sided answer (predicate-abstraction mode, on one example
     only: its parity predicates abstract a single output).  `run_cegis`
     passes one `_RunState` to all its rounds, and `witness=False`: the
-    result of a sat check then holds no witness."""
+    result of a sat check then holds no witness.
+
+    A start value with no generator is a finite set of points, so the
+    question is plain evaluation: the first point (in `logic.points`
+    order) at which the specification holds on every example is the
+    witness, as the first sat branch of the query's DNF would be."""
     solver = solver if solver is not None else Solver()
     state = state if state is not None else _RunState()
-    ps = state.specialize(spec, e)
+    state.advance(spec, e)
     try:
         if mode == "predabs":
             if e.dimension != 1:
@@ -84,8 +99,8 @@ def check_unrealizable(g, spec, e, solver=None, mode="sl", state=None,
             gamma = approx.concretize(values[g.start],
                                       logic.output_names(e.dimension))
             status, model = logic.decide(
-                logic.conj(gamma, ps.conjunction()), solver, state.atom_rows,
-                witness)
+                logic.conj(gamma, state.ps().conjunction()), solver,
+                state.atom_rows, witness)
             if status == "unsat":
                 return CheckResult("Unrealizable", status, values)
             return CheckResult("Unknown", status, values, model,
@@ -96,9 +111,14 @@ def check_unrealizable(g, spec, e, solver=None, mode="sl", state=None,
         stats = {"strata": len(result.strata),
                  "mutual_iterations": {"+".join(k): v for k, v in
                                        result.mutual_iterations.items()}}
-        query = logic.build_query(result.values[g.start], ps)
-        status, model = logic.decide(query, solver, state.atom_rows,
-                                     witness)
+        value = result.values[g.start]
+        points = logic.points(value)
+        if points is None:
+            query = logic.build_query(value, state.ps())
+            status, model = logic.decide(query, solver, state.atom_rows,
+                                         witness)
+        else:
+            status, model = _first_point(points, spec, e, witness)
         if status == "unsat":
             return CheckResult("Unrealizable", status, result.values,
                                stats=stats)
@@ -106,6 +126,18 @@ def check_unrealizable(g, spec, e, solver=None, mode="sl", state=None,
                            stats=stats)
     except BudgetExceeded:
         return CheckResult("Unknown", reason="ilp-budget")
+
+
+def _first_point(points, spec, e, witness):
+    """('sat', the first of `points` at which `spec` holds on every
+    example, by output name) or ('unsat', None); `logic.decide`'s answer
+    on the query of these points."""
+    for point in points:
+        if all(holds(spec, e.variables, row, out)
+               for row, out in zip(e.rows, point)):
+            names = logic.output_names(e.dimension)
+            return "sat", dict(zip(names, point)) if witness else None
+    return "unsat", None
 
 
 @dataclass
@@ -190,7 +222,7 @@ def run_cegis(problem, seed=0, budgets=None, mode="sl", solver=None):
                 raise AssertionError("a new persistent example after"
                                      " random ones")
             synth_on = tuple(e_main)
-            outcome = synth.enumerate_solve(g, state.ps, e,
+            outcome = synth.enumerate_solve(g, state.ps(), e,
                                             max_size=budgets.max_size)
         rec["synth"] = outcome.status
         if outcome.candidate is None:

@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import approx, cegis, gfa
-from .frontend import ParseError, parse_problem, specialize
+from .frontend import ParseError, parse_problem, read_numeral, specialize
 from .grammar import ExampleSet, GrammarError
 from .ilp import Solver
 from .rewrite import normalize
@@ -109,8 +109,9 @@ def _grammar_error(err, args):
 
 
 def _parse_examples(text, variables):
-    """The examples `text` assigns, separated by `;`; with no inputs to
-    assign, an empty list is the one empty example."""
+    """The examples `text` assigns, separated by `;`, each value a numeral
+    as a problem file writes one; with no inputs to assign, an empty list
+    is the one empty example."""
     rows = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -125,10 +126,9 @@ def _parse_examples(text, variables):
             if name in env:
                 raise ValueError(f"variable {name!r} is assigned twice in "
                                  f"one example")
-            try:
-                env[name] = int(value)
-            except ValueError:
-                raise ValueError(f"bad assignment {part.strip()!r}") from None
+            env[name] = read_numeral(value.strip())
+            if env[name] is None:
+                raise ValueError(f"bad assignment {part.strip()!r}")
         missing = [v for v in variables if v not in env]
         if missing:
             raise ValueError(f"missing value for {missing[0]!r}")
@@ -207,7 +207,7 @@ def _cmd_check(args):
 def _examples_or_exit(args, problem):
     try:
         return _parse_examples(args.examples, problem.variables)
-    except ValueError as e:
+    except (ValueError, ParseError) as e:  # ParseError: past the digit limit
         raise SystemExit(_usage_error(str(e)))
 
 

@@ -66,6 +66,20 @@ class _Node:
     col: int
 
 
+def read_numeral(word, line=None, col=None):
+    """The integer `word` writes as ASCII -?[0-9]+, or None for any other
+    word; a ParseError (at `line`, `col`) past the interpreter's digit
+    limit."""
+    digits = word[1:] if word[:1] == "-" else word
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(word)
+    except ValueError:
+        raise ParseError(f"numeral of {len(digits)} digits is too long",
+                         line, col) from None
+
+
 def _tokenize(text):
     line, col, i, n = 1, 1, 0, len(text)
     while i < n:
@@ -89,13 +103,8 @@ def _tokenize(text):
         while j < n and text[j] not in " \t\r\n();":
             j += 1
         word = text[i:j]
-        digits = word[1:] if word[:1] == "-" else word
-        if digits.isascii() and digits.isdigit():  # -?[0-9]+
-            try:
-                value = int(word)
-            except ValueError:  # past the interpreter's digit limit
-                raise ParseError(f"numeral of {len(digits)} digits is too "
-                                 "long", line, col) from None
+        value = read_numeral(word, line, col)
+        if value is not None:
             yield ("int", value, line, col)
         else:
             yield ("sym", word, line, col)
@@ -413,6 +422,14 @@ def _parse_synth_fun(form):
     fsort = _parse_sort(sort_n)
     g = _parse_grammar(grammar_n, fsort, tuple(variables))
     return name, tuple(variables), fsort, g
+
+
+def holds(spec, variables, row, out):
+    """Whether `spec` holds at the input `row` (values of `variables`)
+    with the function's output `out`."""
+    env = dict(zip(variables, row))
+    env[OUT] = out
+    return logic.evaluate(spec, env)
 
 
 def specialize(spec, e, first=0):

@@ -388,11 +388,22 @@ def concretize(value, names=None):
 
 def concretize_bools(bset, names):
     """Formula over 0/1 output coordinates matching a set of Boolean vectors."""
-    parts = []
-    for vec in sorted(bset, reverse=True):
-        parts.append(conj(*[atom(lin(((n, 1),)), "=", 1 if b else 0)
-                            for n, b in zip(names, vec)]))
-    return disj(*parts)
+    return disj(*[conj(*[atom(lin(((n, 1),)), "=", b)
+                         for n, b in zip(names, p)]) for p in points(bset)])
+
+
+def points(value):
+    """The output vectors of a start value, in the order `concretize` and
+    `concretize_bools` list their disjuncts: a semi-linear set's component
+    bases in canonical order, or a Boolean set's vectors sorted in reverse
+    and written as 0/1.  None when a component has a generator, so the
+    value is not a finite set of points."""
+    if isinstance(value, (frozenset, set)):
+        return [tuple([1 if b else 0 for b in vec])
+                for vec in sorted(value, reverse=True)]
+    if any(comp.gens for comp in value.components):
+        return None
+    return [comp.base for comp in value.components]
 
 
 def build_query(value, ps):

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from . import logic as lg
-from .frontend import OUT
+from .frontend import OUT, holds
 from .grammar import (
     AND, BOOL, DOUBLE, INC, ITE, LESSTHAN, MINUS, NOT, NUM, NEGVAR, PLUS, VAR,
     ExampleSet, Term, apply_symbol, eval_term,
@@ -201,11 +201,8 @@ def _bool_formula(t, cap):
 
 
 def _falsifies(term, spec, variables, row):
-    e = ExampleSet(variables, (row,))
-    out = eval_term(term, e)[0]
-    env = dict(zip(variables, row))
-    env[OUT] = int(out)
-    return not lg.evaluate(spec, env)
+    out = eval_term(term, ExampleSet(variables, (row,)))[0]
+    return not holds(spec, variables, row, int(out))
 
 
 def _shrink(term, spec, variables, row):

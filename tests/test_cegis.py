@@ -1,11 +1,12 @@
 import json
+import random
 import re
 import sys
 from pathlib import Path
 
 import pytest
 
-from unrealizer import cegis, clia, frontend, ilp, synth
+from unrealizer import cegis, cli, clia, frontend, ilp, logic, synth
 from unrealizer import grammar as gr
 from unrealizer.cegis import Budgets, Verdict, check_unrealizable, run_cegis
 from unrealizer.frontend import parse_problem, specialize
@@ -346,3 +347,110 @@ def test_round_examples_that_do_not_extend_the_last_are_refused():
     with pytest.raises(AssertionError):
         check_unrealizable(p.grammar, p.spec, _examples(p, [(2,), (1,)]),
                            state=state)
+
+
+def _with_spec(name, constraint):
+    """The bundled problem `name` with its constraints replaced by one."""
+    text = (PROBLEMS / name).read_text()
+    kept = [ln for ln in text.splitlines()
+            if not ln.startswith("(constraint") and ln != "(check-synth)"]
+    return parse_problem("\n".join(kept) + f"\n(constraint {constraint})\n"
+                         "(check-synth)\n")
+
+
+# problems whose start values have no generator, each with the example
+# counts to draw: several points often meet `max2_ge` and `bool_or`, and
+# none `max2_or_unsat` and `bool_sum` (no comparison of x, y and 0 is
+# x + y < 0 on every row)
+FINITE = {
+    "max2": (_problem("max2.sy"), range(1, 6)),
+    "max3": (_problem("max3.sy"), range(1, 4)),
+    "lt_bool": (_problem("lt_bool.sy"), range(1, 6)),
+    "max2_ge": (_with_spec("max2.sy", "(>= (f x y) x)"), range(1, 6)),
+    "max2_or_unsat": (_with_spec(
+        "max2.sy", "(or (= (f x y) (+ x 1)) (= (f x y) y))"), range(1, 6)),
+    "bool_or": (_with_spec("lt_bool.sy", "(or (= (f x y) 0) (< x y))"),
+                range(1, 6)),
+    "bool_sum": (_with_spec(
+        "lt_bool.sy", "(or (and (= (f x y) 1) (< (+ x y) 0))"
+                      " (and (= (f x y) 0) (>= (+ x y) 0)))"), range(3, 7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE))
+def test_points_are_decided_as_the_query_would_be(name):
+    # a start value with no generator is decided by evaluating the spec
+    # at its points; status and witness must be `logic.decide`'s on the
+    # query, whose first sat DNF branch is the first satisfying point
+    p, counts = FINITE[name]
+    rng = random.Random(name)
+    seen = {"sat": 0, "unsat": 0, "several": 0}
+    for _ in range(30):
+        d = rng.choice(counts)
+        rows = [tuple([rng.randint(-3, 3) for _ in p.variables])
+                for _ in range(d)]
+        e = _examples(p, rows)
+        for witness in (True, False):
+            res = check_unrealizable(p.grammar, p.spec, e, witness=witness)
+            value = res.values[p.grammar.start]
+            points = logic.points(value)
+            assert points is not None
+            query = logic.build_query(value, specialize(p.spec, e))
+            want = logic.decide(query, ilp.Solver(), witness=witness)
+            assert (res.query, res.witness) == want, (rows, witness)
+        seen[res.query] += 1
+        met = [pt for pt in points
+               if all(frontend.holds(p.spec, p.variables, r, o)
+                      for r, o in zip(rows, pt))]
+        seen["several"] += len(met) > 1
+    assert seen["sat"] > 0, seen
+    if name in ("max2_ge", "bool_or"):
+        assert seen["several"] > 0, seen
+    if name in ("max2_or_unsat", "bool_sum"):
+        assert seen["unsat"] > 0, seen
+
+
+def test_a_finite_start_value_builds_no_query(monkeypatch, capsys):
+    # max2's start value is two points, so check-examples evaluates the
+    # spec there: no formula is specialized, built or decided; g2's start
+    # value has generators and still goes through `logic.decide`
+    calls = []
+
+    def spying(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kw):
+            calls.append(name)
+            return fn(*args, **kw)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spying(ilp.Solver, "feasible")
+    spying(logic, "decide")
+    spying(logic, "build_query")
+    spying(frontend, "specialize")
+    spying(cegis, "specialize")
+    code = cli.main(["check-examples", str(PROBLEMS / "max2.sy"),
+                     "--examples", "x=1,y=2;x=2,y=1;x=0,y=0"])
+    assert (code, calls) == (10, [])
+    code = cli.main(["check-examples", str(PROBLEMS / "g2.sy"),
+                     "--examples", "x=1;x=2"])
+    assert code == 10 and "decide" in calls
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name, rounds", [("max2.sy", 1), ("lt_bool.sy", 2)])
+def test_a_run_specializes_each_persistent_example_once(monkeypatch, name,
+                                                        rounds):
+    # the checks of max2 and lt_bool evaluate the spec at points, so only
+    # the synthesizer reads the specialized spec: each persistent example
+    # once, in the round that adds it
+    specialized = []
+
+    def recording(spec, e, first=0):
+        specialized.extend(e.rows[first:])
+        return specialize(spec, e, first)
+
+    monkeypatch.setattr(cegis, "specialize", recording)
+    v = run_cegis(_problem(name), seed=0)
+    assert (v.verdict, v.iterations) == ("Realizable", rounds)
+    assert specialized == [tuple(r) for r in v.examples]

@@ -203,6 +203,29 @@ def test_bad_examples_are_usage_errors(capsys):
         code = exc.value.code
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+    # a value is a numeral as a problem file writes one, ASCII -?[0-9]+:
+    # no digit separator, no other script's digits, no plus sign
+    for bad in ("x=1_0", "x=\u0663", "x=+1"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check-examples", str(PROBLEMS / "g1.sy"),
+                      "--examples", bad])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == \
+            f"error: bad assignment {bad!r}\n"
+    # past the interpreter's digit limit, as in a problem file
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check-examples", str(PROBLEMS / "g1.sy"),
+                  "--examples", "x=" + "9" * 5000])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == \
+        "error: numeral of 5000 digits is too long\n"
+
+
+def test_examples_may_space_their_assignments(capsys):
+    code, out, _ = _run(capsys, "check-examples", str(PROBLEMS / "g1.sy"),
+                        "--json", "--examples", " x = -1 ; x =2")
+    assert code == 0
+    assert json.loads(out)["examples"] == [[-1], [2]]
 
 
 def test_examples_of_a_problem_without_inputs(capsys, tmp_path):

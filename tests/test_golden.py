@@ -35,6 +35,9 @@ CASES = [
     ("check_gconst.json", 20,
      ["check", "gconst.sy", "--seed", "0", "--json"]),
     ("check_max2.json", 10, ["check", "max2.sy", "--seed", "0", "--json"]),
+    # a Boolean-sorted start value
+    ("check_lt_bool.json", 10,
+     ["check", "lt_bool.sy", "--seed", "0", "--json"]),
     ("check_predabs_parity.json", 0,
      ["check", "parity.sy", "--mode", "predabs", "--seed", "0", "--json"]),
     # round 1 ends abstraction-sat; the later rounds hold two examples
